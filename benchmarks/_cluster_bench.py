@@ -1,21 +1,17 @@
 """Shared plumbing for the cluster benchmark scripts.
 
 ``bench_e14_cluster.py`` and ``bench_e15_backends.py`` both double as
-standalone scripts that record wall-clock and events/sec numbers --
-per engine-queue mode (wheel default, heap reference) -- into
+standalone scripts that record wall-clock and events/sec numbers into
 ``BENCH_cluster.json`` at the repo root. The committed file is the
 baseline the CI bench-smoke job compares fresh measurements against.
 """
 
 import json
-import os
 import pathlib
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUTPUT = ROOT / "BENCH_cluster.json"
-
-QUEUE_MODES = ("wheel", "heap")
 
 
 def timed_cluster_run(run_fn, repeats: int = 3) -> dict:
@@ -49,23 +45,6 @@ def timed_experiment(experiment_id: str, quick: bool) -> dict:
     experiment.run(quick=quick)
     return {"quick": quick,
             "seconds": round(time.perf_counter() - start, 2)}
-
-
-def per_queue_mode(measure) -> dict:
-    """Run ``measure()`` once per engine backing store and key the
-    results by mode. Restores the environment afterwards."""
-    prior = os.environ.get("REPRO_ENGINE_QUEUE")
-    out = {}
-    try:
-        for mode in QUEUE_MODES:
-            os.environ["REPRO_ENGINE_QUEUE"] = mode
-            out[mode] = measure()
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_ENGINE_QUEUE", None)
-        else:
-            os.environ["REPRO_ENGINE_QUEUE"] = prior
-    return out
 
 
 def update_section(section: str, payload: dict) -> None:

@@ -1,8 +1,8 @@
 """E14 bench: the cluster experiment + cluster-run micro-benchmarks.
 
 Run as a script (``PYTHONPATH=src python benchmarks/bench_e14_cluster.py``)
-to record the E14 wall-clock and a cluster-run events/sec number per
-engine-queue mode into ``BENCH_cluster.json``; pass ``--quick`` to skip
+to record the E14 wall-clock and a cluster-run events/sec number into
+``BENCH_cluster.json``; pass ``--quick`` to skip
 the full-mode experiment timing.
 """
 
@@ -120,15 +120,13 @@ def main(quick_only: bool) -> None:
         # the pre-PR timer-wheel/lazy-deadline baseline: E14 full-mode
         # wall-clock on this container before the engine rework
         "pre_rework_full_seconds": 62.07,
-        "modes": cb.per_queue_mode(lambda: {
-            "cluster_run": micro_bench(),
-            "experiment": (
-                [cb.timed_experiment("E14", quick=True)] if quick_only else
-                [cb.timed_experiment("E14", quick=True),
-                 cb.timed_experiment("E14", quick=False)]),
-        }),
-        # conservative-PDES sharding (default wheel store, process
-        # transport); byte-identical output, so this is purely a
+        "cluster_run": micro_bench(),
+        "experiment": (
+            [cb.timed_experiment("E14", quick=True)] if quick_only else
+            [cb.timed_experiment("E14", quick=True),
+             cb.timed_experiment("E14", quick=False)]),
+        # conservative-PDES sharding (process transport);
+        # byte-identical output, so this is purely a
         # wall-clock/events-per-sec trajectory
         "shard_scaling": shard_scaling(),
     }

@@ -1,8 +1,8 @@
 """E15 bench: backend agreement + the ISA-backend cluster micro-bench.
 
 Run as a script (``PYTHONPATH=src python benchmarks/bench_e15_backends.py``)
-to record the E15 wall-clock and an ISA-cluster events/sec number per
-engine-queue mode into ``BENCH_cluster.json``; pass ``--quick`` to skip
+to record the E15 wall-clock and an ISA-cluster events/sec number into
+``BENCH_cluster.json``; pass ``--quick`` to skip
 the full-mode experiment timing.
 """
 
@@ -55,13 +55,11 @@ def main(quick_only: bool) -> None:
         # pre-rework E15 full-mode wall-clock (heap engine, naive
         # per-cycle ISA stepping on the machine-backend nodes)
         "pre_rework_full_seconds": 8.13,
-        "modes": cb.per_queue_mode(lambda: {
-            "cluster_run": micro_bench(),
-            "experiment": (
-                [cb.timed_experiment("E15", quick=True)] if quick_only else
-                [cb.timed_experiment("E15", quick=True),
-                 cb.timed_experiment("E15", quick=False)]),
-        }),
+        "cluster_run": micro_bench(),
+        "experiment": (
+            [cb.timed_experiment("E15", quick=True)] if quick_only else
+            [cb.timed_experiment("E15", quick=True),
+             cb.timed_experiment("E15", quick=False)]),
     }
     cb.update_section("e15", payload)
 

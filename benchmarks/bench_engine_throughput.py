@@ -21,9 +21,8 @@ trajectory to compare against:
   noise between runs is ~7%, far above the effect, so cross-run
   comparison would be meaningless).  ``disabled_overhead_pct`` is the
   regression of instrument=False against a reference pass of the same
-  build -- the disabled issue loop is byte-identical to the
-  uninstrumented one, so this is a measured noise bound, gated at <3%
-  in CI.  ``enabled_overhead_pct`` documents what full instrumentation
+  build -- both passes run the same issue loop with its profiler hooks
+  skipped, so this is a measured noise bound, gated at <3% in CI.  ``enabled_overhead_pct`` documents what full instrumentation
   costs when you opt in.
 
 Run:  PYTHONPATH=src python benchmarks/bench_engine_throughput.py
@@ -90,8 +89,8 @@ def bench_instrumentation(trials: int = 5, burst: int = 100_000,
     """Best-of-N interleaved A/B: reference vs disabled vs enabled.
 
     Uses the naive (fast_forward=False) per-cycle loop, where the
-    instrumented loop body would hurt most if the mode selection ever
-    leaked into the disabled path.
+    profiler hooks would hurt most if they ever did work with
+    profiling off.
     """
     from repro.machine import build_machine
 

@@ -2,8 +2,8 @@
 """CI bench-smoke: quick engine + cluster benchmarks vs committed baselines.
 
 Re-measures the cheap throughput numbers -- raw engine dispatch
-(``BENCH_engine.json``) and the two cluster micro-runs per engine-queue
-mode (``BENCH_cluster.json``) -- and fails if any events/sec figure
+(``BENCH_engine.json``) and the two cluster micro-runs
+(``BENCH_cluster.json``) -- and fails if any events/sec figure
 regresses more than ``TOLERANCE_PCT`` below its committed baseline.
 Wall-clock entries are informational; only events/sec is gated, since
 it is the one metric that tracks the engine hot path rather than the
@@ -13,7 +13,6 @@ Run:  PYTHONPATH=src python benchmarks/bench_smoke.py
 """
 
 import json
-import os
 import pathlib
 import sys
 
@@ -50,13 +49,9 @@ def main() -> int:
           measured, failures)
 
     for section, module in (("e14", e14), ("e15", e15)):
-        for mode, cell in cluster_base[section]["modes"].items():
-            os.environ["REPRO_ENGINE_QUEUE"] = mode
-            fresh = module.micro_bench()
-            check(f"{section}.cluster_run[{mode}]",
-                  cell["cluster_run"]["events_per_sec"],
-                  fresh["events_per_sec"], failures)
-    os.environ.pop("REPRO_ENGINE_QUEUE", None)
+        check(f"{section}.cluster_run",
+              cluster_base[section]["cluster_run"]["events_per_sec"],
+              module.micro_bench()["events_per_sec"], failures)
 
     # tracing A/B (fresh, interleaved in this process): span hooks must
     # stay free when tracing is off -- the disabled pass runs the exact
@@ -103,7 +98,7 @@ def main() -> int:
     if coh["disabled_overhead_pct"] > 3.0:
         failures.append("coherence[disabled]")
 
-    # PDES shard scaling (process transport, default store): the same
+    # PDES shard scaling (process transport): the same
     # sweep cell at 1/2/4 shard workers, each gated independently
     scaling_base = cluster_base["e14"].get("shard_scaling", {})
     fresh_scaling = e14.shard_scaling(

@@ -66,8 +66,8 @@ def isa_markdown() -> str:
         "it. `HWCore` then dispatches through the decoded table instead",
         "of the opcode `match`. Decoding is *behaviorally invisible*:",
         "every experiment table is byte-identical with it on or off",
-        "(the `predecode-identity` CI job diffs E09/E15 under both",
-        "engine queues), and E18 measures the mechanisms directly.",
+        "(the `predecode-identity` CI job diffs E09/E15), and E18",
+        "measures the mechanisms directly.",
         "",
         "### Superinstruction fusion",
         "",
@@ -219,9 +219,10 @@ def observability_markdown() -> str:
         "# Observability",
         "",
         "Instrumentation is **off by default and zero-cost when off**:",
-        "the issue loop selects an entirely uninstrumented body at",
-        "startup, and everything else guards on one attribute-is-None",
-        "check. `BENCH_engine.json` records the measured disabled-mode",
+        "the issue loop and everything else guard each hook on one",
+        "is-None check, and the hooks only record, so an instrumented",
+        "run dispatches exactly the events an uninstrumented one does.",
+        "`BENCH_engine.json` records the measured disabled-mode",
         "overhead (`instrumentation.disabled_overhead_pct`, gated <3%",
         "in CI).",
         "",
@@ -657,12 +658,7 @@ def backends_markdown() -> str:
 
 def engine_markdown() -> str:
     from repro.kernel.sched import ProcessorSharingServer
-    from repro.sim.engine import (
-        _COMPACT_MIN_BUCKET,
-        _COMPACT_MIN_QUEUE,
-        DEFAULT_QUEUE,
-        QUEUE_ENV,
-    )
+    from repro.sim.engine import _COMPACT_MIN_QUEUE
 
     lines = [
         "# The discrete-event engine",
@@ -674,50 +670,41 @@ def engine_markdown() -> str:
         "`ScheduledCall`), `run`/`run_until_idle`/`step`, and",
         "`next_event_time`.",
         "",
-        "## Two backing stores: wheel vs heap",
+        "## One queue, one dispatch core",
         "",
-        "The engine has two interchangeable backing stores behind that",
-        "API, selected at construction:",
+        "Pending events live in one binary heap of `(time, seq, call)`",
+        "tuples; `seq` is a monotone counter, so ties in time dispatch",
+        "in insertion order. Cancellation tombstones the entry, and the",
+        "heap is compacted in place once cancelled entries outnumber",
+        "live ones (and the queue is at least",
+        f"{_COMPACT_MIN_QUEUE} long). In place matters: the dispatch loop holds an alias to",
+        "the list, so a compaction triggered from inside a callback",
+        "must not rebind it.",
         "",
-        "- **wheel** (`WheelEngine`, the default): a calendar queue.",
-        "  Events live in per-timestamp buckets (append order *is* seq",
-        "  order) with a heap over the distinct timestamps; dispatch",
-        "  walks the earliest bucket by cursor, so same-time events",
-        "  scheduled by callbacks are picked up in order without any",
-        "  re-heapification. Cancellation is O(1) tombstoning: the",
-        "  bucket keeps a dead counter, compacts itself once more than",
-        f"  half of at least {_COMPACT_MIN_BUCKET} entries are dead, and",
-        "  a fully-cancelled bucket is freed immediately (its timestamp",
-        "  goes stale in the heap and is skipped on pop). The unbounded",
-        "  and horizon-bounded drains are inlined -- one bucket walk per",
-        "  event, no per-event function call -- which is where the",
-        "  cluster experiments spend their lives. The tombstone table",
-        "  stays *empty* on a cancellation-free run (compaction drops",
-        "  keys rather than zeroing them), so the drains' consume path",
-        "  skips tombstone bookkeeping entirely -- a truthiness test --",
-        "  until the first cancellation actually happens.",
-        "- **heap** (`HeapEngine`, the reference): one binary heap of",
-        "  `(time, seq, call)` with lazy compaction once cancelled",
-        "  entries outnumber live ones (and the queue is at least",
-        f"  {_COMPACT_MIN_QUEUE} long). Simpler to audit; kept as the",
-        "  cross-check implementation.",
-        "",
-        "Both stores dispatch in exactly the same global order, so",
-        "**every experiment table is byte-identical under either** --",
-        "`tests/test_experiments.py::TestEngineQueueIdentity` and the",
-        "parametrized serial/parallel identity test enforce that on the",
-        "queueing-heavy experiments (E09/E14/E15). On the cluster",
-        "workloads the two are within a few percent of each other; the",
-        "wheel's structural win is O(1) cancellation and bucket-local",
-        "same-timestamp handling, the heap's is simplicity. Switch with",
-        f"`EngineConfig(queue=...)` or the `{QUEUE_ENV}` environment",
-        f"variable (`heap`/`wheel`; default `{DEFAULT_QUEUE}`):",
+        "`step()`, `run(until=..., max_events=...)` and",
+        "`run_until_idle()` are thin wrappers over one dispatch core,",
+        "`Engine._dispatch(until, limit)`, so the three entry points",
+        "cannot drift apart. A hypothesis property test",
+        "(`TestDispatchMatchesSortedReference` in",
+        "`tests/test_property_invariants.py`) drives random",
+        "interleavings of `at`/`after`/`at_step`/`after_step`/`cancel`",
+        "through all of them, with callbacks that",
+        "schedule and cancel at the current time, and checks every",
+        "dispatch, `pending_events`, `next_event_time()` and",
+        "`next_foreign_event_time()` against a sorted-list model.",
         "",
         "```python",
-        "from repro.sim.engine import Engine, EngineConfig",
+        "from repro.sim.engine import Engine",
         "",
-        "engine = Engine(EngineConfig(queue='heap'))",
-        "assert engine.queue_kind == 'heap'",
+        "engine = Engine()",
+        "seen = []",
+        "engine.at(5, seen.append, 'b')",
+        "engine.after(5, seen.append, 'c')   # same time, later seq",
+        "engine.at(1, seen.append, 'a')",
+        "engine.run(until=3)",
+        "assert seen == ['a'] and engine.now == 3",
+        "engine.run_until_idle()",
+        "assert seen == ['a', 'b', 'c']",
         "```",
         "",
         "## The step lane",
@@ -751,7 +738,7 @@ def engine_markdown() -> str:
         "`BENCH_engine.json` (raw dispatch events/sec, core cycles/sec,",
         "evaluation wall-clock); `benchmarks/bench_e14_cluster.py` and",
         "`benchmarks/bench_e15_backends.py` write `BENCH_cluster.json`",
-        "(cluster wall-clock and events/sec per engine-queue mode).",
+        "(cluster wall-clock and events/sec).",
         "`benchmarks/bench_smoke.py` re-measures the quick numbers in CI",
         "and fails on a >25% events/sec regression against the",
         "committed baselines.",

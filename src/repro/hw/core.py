@@ -74,8 +74,8 @@ class HWCore:
         self.storage = storage or ThreadStateStore(self.costs)
         self.security_model = security_model
         self.tracer = tracer
-        # observability (attach_obs): all None when uninstrumented, and
-        # the issue loop picks an entirely unguarded body in that case
+        # observability (attach_obs): all None when uninstrumented; the
+        # issue loop guards each profiler hook on a hoisted local
         self.timeline: Optional[Any] = None
         self.profile: Optional[Any] = None
         self.metrics: Optional[Any] = None
@@ -207,8 +207,10 @@ class HWCore:
         """Wire a :class:`repro.obs.MachineObs` bundle into this core.
 
         Must happen before the engine first dispatches the issue loop
-        (``Machine.__init__`` does; the loop body picks its
-        instrumented/plain variant on first resume).
+        (``Machine.__init__`` does): the loop reads ``self.profile`` once,
+        on its first resume, and guards every profiler hook on it. The
+        hooks only record, so an instrumented core schedules exactly the
+        events an uninstrumented one does.
         """
         self.timeline = obs.timeline
         self.profile = obs.profiler.core(self.core_id)
@@ -221,19 +223,10 @@ class HWCore:
     # the issue loop
     # ==================================================================
     def _run(self):
-        # One-time fork, evaluated at the first engine dispatch (after
-        # Machine.__init__ has had its chance to attach_obs): the plain
-        # body is byte-for-byte the uninstrumented loop, so disabled
-        # instrumentation costs not even a branch per round.
-        if self.profile is None:
-            yield from self._run_plain()
-        else:
-            yield from self._run_instrumented()
-
-    def _run_plain(self):
         engine = self.engine
         threads = self.threads
         RUNNABLE = PtidState.RUNNABLE
+        WAITING = PtidState.WAITING
         # per-core constants and bound methods, hoisted out of the
         # per-round body (this loop resumes once per simulated cycle)
         ff_enabled = self.fast_forward_enabled
@@ -241,7 +234,18 @@ class HWCore:
         select = self.issue_policy.select
         issue_one = self._issue_one
         wake = self._wake
-        while not self.halted:
+        # Profiler attribution (attach_obs ran before this first resume):
+        # a pend() is declared before every yield and settled at the top
+        # of the next pass, so every cycle the loop lives through lands
+        # in exactly one bucket and the per-core buckets sum to
+        # engine.now (obs/profile.py). The hooks only record; the event
+        # schedule is the same with or without a profile.
+        profile = self.profile
+        while True:
+            if profile is not None:
+                profile.settle(engine._now)
+            if self.halted:
+                return
             # ptid-ordered by construction (threads is ptid-ordered);
             # any state transition clears the cache
             runnable = self._runnable_cache
@@ -249,36 +253,63 @@ class HWCore:
                 runnable = [t for t in threads if t.state is RUNNABLE]
                 self._runnable_cache = runnable
             if not runnable:
-                idle_from = engine.now
+                idle_from = engine._now
+                if profile is not None:
+                    # a wait with parked threads is the paper's mwait
+                    # block; with none it is true idle (nothing loaded
+                    # or all stopped)
+                    profile.pend("mwait" if any(
+                        t.state is WAITING for t in threads) else "idle",
+                        idle_from)
                 yield wake
-                self.idle_cycles += engine.now - idle_from
+                self.idle_cycles += engine._now - idle_from
                 continue
             now = engine._now
             issueable = [t for t in runnable if t.busy_until <= now]
             if not issueable:
-                next_free = min(t.busy_until for t in runnable)
-                yield next_free - now
+                if profile is not None:
+                    profile.pend("stall", now)
+                yield min(t.busy_until for t in runnable) - now
                 continue
             if ff_enabled:
                 plan = self._plan_fast_forward(runnable, issueable, now)
                 if plan is not None:
                     cycles, lazy, contended = plan
+                    if profile is not None:
+                        profile.pend("fastforward", now)
                     if not lazy:
-                        done = self._apply_fast_forward(
+                        yield self._apply_fast_forward(
                             issueable, cycles, contended, now)
-                        yield done
                         continue
                     # interruptible batch: a step event (another core's
                     # resume) falls inside the window, so park until the
                     # timeout or a wake and account whatever elapsed
                     yield AnyOf((cycles, wake))
-                    elapsed = engine.now - now
+                    elapsed = engine._now - now
                     if elapsed:
                         self._apply_fast_forward(
                             issueable, elapsed, contended, now)
                     continue
             picked = select(issueable, width)
             self.issue_rounds += 1
+            if profile is not None:
+                # Attribution must be a pure function of simulation
+                # state, never of whether a batch plan happened to fire
+                # (the plan horizon reads the host engine's foreign-event
+                # queue, which differs between a single-engine and a
+                # sharded run): a round where every issueable thread is
+                # mid-`work` -- the exact trigger condition of
+                # _plan_fast_forward -- is a work-burn ("fastforward")
+                # cycle whether it was batched or stepped. Evaluated
+                # before issuing, which decrements. The round's cycle
+                # goes to that bucket and any merged stall after it
+                # (below) to "stall".
+                bucket = "fastforward"
+                for thread in issueable:
+                    if thread.work_remaining <= 0:
+                        bucket = "issue"
+                        break
+                profile.pend(bucket, now, "stall")
             for thread in picked:
                 issue_one(thread)
             # merged stall: when every still-runnable thread is busy past
@@ -289,86 +320,10 @@ class HWCore:
             # either way; the skipped resume had no side effects.)
             runnable = self._runnable_cache
             if runnable:
-                next_free = min(t.busy_until for t in runnable)
-                delta = next_free - now
+                delta = min(t.busy_until for t in runnable) - now
                 yield delta if delta > 1 else 1
             else:
                 yield 1
-
-    def _run_instrumented(self):
-        # Mirror of _run_plain with profiler attribution: a pend() is
-        # declared before every yield and settled on resume, so every
-        # cycle the loop lives through lands in exactly one bucket and
-        # the per-core buckets sum to engine.now (obs/profile.py).
-        engine = self.engine
-        threads = self.threads
-        profile = self.profile
-        RUNNABLE = PtidState.RUNNABLE
-        WAITING = PtidState.WAITING
-        while not self.halted:
-            runnable = self._runnable_cache
-            if runnable is None:
-                runnable = [t for t in threads if t.state is RUNNABLE]
-                self._runnable_cache = runnable
-            if not runnable:
-                idle_from = engine.now
-                # a wait with parked threads is the paper's mwait block;
-                # with none it is true idle (nothing loaded/all stopped)
-                if any(t.state is WAITING for t in threads):
-                    profile.pend("mwait", idle_from)
-                else:
-                    profile.pend("idle", idle_from)
-                yield self._wake
-                profile.settle(engine.now)
-                self.idle_cycles += engine.now - idle_from
-                continue
-            now = engine.now
-            issueable = [t for t in runnable if t.busy_until <= now]
-            if not issueable:
-                next_free = min(t.busy_until for t in runnable)
-                profile.pend("stall", now)
-                yield next_free - now
-                profile.settle(engine.now)
-                continue
-            if self.fast_forward_enabled:
-                plan = self._plan_fast_forward(runnable, issueable, now)
-                if plan is not None:
-                    cycles, lazy, contended = plan
-                    if not lazy:
-                        done = self._apply_fast_forward(
-                            issueable, cycles, contended, now)
-                        profile.pend("fastforward", now)
-                        yield done
-                        profile.settle(engine.now)
-                        continue
-                    profile.pend("fastforward", now)
-                    yield AnyOf((cycles, self._wake))
-                    profile.settle(engine.now)
-                    elapsed = engine.now - now
-                    if elapsed:
-                        self._apply_fast_forward(
-                            issueable, elapsed, contended, now)
-                    continue
-            picked = self.issue_policy.select(issueable, self.smt_width)
-            self.issue_rounds += 1
-            # Attribution must be a pure function of simulation state,
-            # never of whether a batch plan happened to fire (the plan
-            # horizon reads the host engine's foreign-event queue, which
-            # differs between a single-engine and a sharded run): a
-            # round where every issueable thread is mid-`work` -- the
-            # exact trigger condition of _plan_fast_forward -- is a
-            # work-burn ("fastforward") cycle whether it was batched or
-            # stepped. Evaluate before issuing, which decrements.
-            burn = True
-            for thread in issueable:
-                if thread.work_remaining <= 0:
-                    burn = False
-                    break
-            for thread in picked:
-                self._issue_one(thread)
-            profile.pend("fastforward" if burn else "issue", now)
-            yield 1
-            profile.settle(engine.now)
 
     def _plan_fast_forward(self, thread_list, issueable, now: int):
         """Plan a busy-cycle batch that cannot change anything mid-way.

@@ -131,9 +131,8 @@ class Machine:
         self.dma = DmaEngine(self.engine, self.memory)
         # observability: instrument when asked to, or when built inside
         # an active obs session (how the CLI instruments experiments).
-        # Attaching here -- before the engine ever runs -- is what lets
-        # each core's issue loop pick its instrumented body on first
-        # dispatch.
+        # Attach here, before the engine ever runs: each core's issue
+        # loop reads its profile once, on its first dispatch.
         import repro.obs as obs
         session = obs.active()
         self.obs: Optional[obs.MachineObs] = None

@@ -41,6 +41,18 @@ from repro.errors import ConfigError
 BUCKETS = ("issue", "stall", "mwait", "fastforward", "idle")
 
 
+def _fold(buckets: Dict[str, int], pending: Tuple[str, int, Optional[str]],
+          now: int) -> None:
+    """Add a pending interval closed at ``now`` to ``buckets``."""
+    bucket, since, then = pending
+    elapsed = now - since
+    if then is not None and elapsed > 1:
+        buckets[bucket] += 1
+        buckets[then] += elapsed - 1
+    else:
+        buckets[bucket] += elapsed
+
+
 class CoreProfile:
     """Per-core cycle ledger."""
 
@@ -49,20 +61,23 @@ class CoreProfile:
     def __init__(self, core_id: int):
         self.core_id = core_id
         self.buckets: Dict[str, int] = {bucket: 0 for bucket in BUCKETS}
-        self._pending: Optional[Tuple[str, int]] = None
+        self._pending: Optional[Tuple[str, int, Optional[str]]] = None
 
-    def pend(self, bucket: str, since: int) -> None:
+    def pend(self, bucket: str, since: int,
+             then: Optional[str] = None) -> None:
         """Declare that cycles from ``since`` until the next
         :meth:`settle` belong to ``bucket`` (called just before the core
-        yields)."""
-        self._pending = (bucket, since)
+        yields). With ``then``, only the first cycle belongs to
+        ``bucket`` and the rest to ``then`` -- an issue round followed
+        by the stall the core merged into the same wait."""
+        self._pending = (bucket, since, then)
 
     def settle(self, now: int) -> None:
         """Close the pending interval at ``now`` (called when the core
         resumes)."""
-        if self._pending is not None:
-            bucket, since = self._pending
-            self.buckets[bucket] += now - since
+        pending = self._pending
+        if pending is not None:
+            _fold(self.buckets, pending, now)
             self._pending = None
 
     def charge(self, bucket: str, cycles: int) -> None:
@@ -80,14 +95,13 @@ class CoreProfile:
         """Bucket totals summing exactly to ``now``.
 
         The still-pending interval (a core mid-wait when the run
-        stopped) is folded into its declared bucket; any remainder --
+        stopped) is folded into its declared bucket(s); any remainder --
         a halted core, or clock advancement past the final event --
         is idle time by definition.
         """
         out = dict(self.buckets)
         if self._pending is not None:
-            bucket, since = self._pending
-            out[bucket] += now - since
+            _fold(out, self._pending, now)
         accounted = sum(out.values())
         if accounted > now:
             raise ConfigError(

@@ -6,25 +6,12 @@ Components schedule plain callbacks with :meth:`Engine.at` /
 :meth:`Engine.spawn` (see :mod:`repro.sim.process`).
 
 The dispatch loop is the single hottest path in the whole simulator
-(every instruction issue, wakeup, and timer rides through it), so two
-backing stores are provided behind one API, selected by
-:class:`EngineConfig` or the ``REPRO_ENGINE_QUEUE`` environment
-variable:
-
-- ``"heap"`` -- the reference implementation: one binary heap of
-  ``(time, seq, call)`` tuples. Cancellation tombstones the entry and
-  the whole heap is lazily compacted once dead entries outnumber live
-  ones (a global O(n) heapify each time).
-- ``"wheel"`` -- a calendar queue in the hashed-timing-wheel family:
-  events hash into per-timestamp buckets (a dict) and a small heap
-  orders the distinct timestamps. Same-time events append in O(1),
-  cancellation is O(1) tombstoning with *per-bucket* compaction, and a
-  bucket whose events are all cancelled is freed immediately -- no
-  global churn. This is the default.
-
-Both stores dispatch in exactly ``(time, seq)`` order, where ``seq`` is
-a shared monotone counter, so a given program produces byte-identical
-event interleavings under either.
+(every instruction issue, wakeup, and timer rides through it). Pending
+events live in one binary heap of ``(time, seq, call)`` tuples, where
+``seq`` is a monotone counter, so dispatch order is exactly
+``(time, seq)``: ties in time go in insertion order. Cancellation
+tombstones the entry; the heap is compacted in place once dead entries
+outnumber live ones.
 
 Separately from the main queue, the engine keeps a *step lane*
 (:meth:`at_step`): a small heap reserved for CPU-core issue-loop
@@ -35,54 +22,27 @@ fast-forward uses as its batching horizon. A core mid-burst cannot
 affect another core except through main-queue events or by firing the
 other core's wake signal, so other cores' per-cycle steps must not cap
 the batch (see :meth:`repro.hw.core.HWCore._plan_fast_forward`).
+
+:meth:`Engine.step`, :meth:`Engine.run` and :meth:`Engine.run_until_idle`
+all drive the same dispatch core, :meth:`Engine._dispatch`.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import os
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+import sys
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
-#: Heap mode: queues smaller than this are never compacted (the scan
-#: costs more than the dead entries do).
+#: Queues smaller than this are never compacted (the scan costs more
+#: than the dead entries do).
 _COMPACT_MIN_QUEUE = 64
 
-#: Wheel mode: per-bucket compaction threshold -- buckets with fewer
-#: dead entries than this are left alone until fully dead.
-_COMPACT_MIN_BUCKET = 8
-
-#: Environment override for the backing store ("heap" or "wheel").
-QUEUE_ENV = "REPRO_ENGINE_QUEUE"
-
-#: The production default; "heap" is retained as the reference.
-DEFAULT_QUEUE = "wheel"
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """Construction-time engine knobs.
-
-    ``queue`` selects the event-queue backing store: ``"heap"``,
-    ``"wheel"``, or ``""`` to fall back to ``REPRO_ENGINE_QUEUE`` and
-    then :data:`DEFAULT_QUEUE`.
-    """
-
-    queue: str = ""
-
-
-def resolve_queue(config: Optional[EngineConfig] = None) -> str:
-    """The backing store an ``Engine(config)`` call would pick."""
-    name = (config.queue if config is not None else "") \
-        or os.environ.get(QUEUE_ENV, "") or DEFAULT_QUEUE
-    if name not in ("heap", "wheel"):
-        raise SimulationError(
-            f"unknown engine queue {name!r}: expected 'heap' or 'wheel' "
-            f"(via EngineConfig.queue or ${QUEUE_ENV})")
-    return name
+#: "No bound" for the dispatch core's time horizon and event budget (an
+#: int, so the per-event comparison stays int-to-int).
+_NEVER = sys.maxsize
 
 
 class ScheduledCall:
@@ -101,7 +61,7 @@ class ScheduledCall:
 
     def cancel(self) -> None:
         """Prevent the callback from firing. Idempotent, and a no-op
-        once the call has been dispatched (the dispatch loops drop the
+        once the call has been dispatched (the dispatch core drops the
         engine backref so a late cancel cannot skew the live count)."""
         if not self.cancelled:
             self.cancelled = True
@@ -117,29 +77,17 @@ class Engine:
     """A minimal but complete discrete-event engine.
 
     Determinism: ties in time are broken by insertion order, so a given
-    program produces the same event interleaving on every run --
-    regardless of the backing store (see module docstring).
-
-    ``Engine(config)`` dispatches to the configured subclass;
-    :class:`HeapEngine` and :class:`WheelEngine` can also be
-    constructed directly (the A/B equivalence tests do).
+    program produces the same event interleaving on every run.
     """
 
-    #: Which backing store this class implements (subclass attribute).
-    queue_kind = ""
-
-    def __new__(cls, config: Optional[EngineConfig] = None) -> "Engine":
-        if cls is Engine:
-            cls = _ENGINES[resolve_queue(config)]
-        return object.__new__(cls)
-
-    def __init__(self, config: Optional[EngineConfig] = None) -> None:
+    def __init__(self) -> None:
         self._now: int = 0
         self._seq = itertools.count()
         self._events_processed: int = 0
         self._live: int = 0  # scheduled, not cancelled, not yet dispatched
         self._run_until: Optional[int] = None
         self._processes: "List[Any]" = []  # live Process objects (weak bookkeeping)
+        self._queue: List[Tuple[int, int, ScheduledCall]] = []
         # The step lane: core issue-loop resumes, merged into dispatch
         # by (time, seq) but excluded from next_foreign_event_time().
         self._steps: List[Tuple[int, int, ScheduledCall]] = []
@@ -173,13 +121,28 @@ class Engine:
     # ------------------------------------------------------------------
     def at(self, time: int, fn: Callable[..., Any], *args: Any) -> ScheduledCall:
         """Schedule ``fn(*args)`` to run at absolute ``time``."""
-        raise NotImplementedError
+        time = int(time)
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule at t={time}, current time is t={self._now}"
+            )
+        call = ScheduledCall(time, fn, args, self)
+        heapq.heappush(self._queue, (time, next(self._seq), call))
+        self._live += 1
+        return call
 
     def after(self, delay: int, fn: Callable[..., Any], *args: Any) -> ScheduledCall:
         """Schedule ``fn(*args)`` to run ``delay`` cycles from now."""
+        # at() inlined (minus the past-time check -- delay >= 0 makes it
+        # unreachable): after() is the cluster layers' only scheduling
+        # call, hot enough that the extra frame shows up in profiles
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self.at(self._now + int(delay), fn, *args)
+        time = self._now + int(delay)
+        call = ScheduledCall(time, fn, args, self)
+        heapq.heappush(self._queue, (time, next(self._seq), call))
+        self._live += 1
+        return call
 
     def at_step(self, time: int, fn: Callable[..., Any], *args: Any) -> ScheduledCall:
         """Schedule a CPU-core issue-loop resume at absolute ``time``.
@@ -219,110 +182,16 @@ class Engine:
         return proc
 
     def _note_cancel(self, call: ScheduledCall) -> None:
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # execution (subclass responsibility)
-    # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Dispatch the next pending event. Returns False if none remain."""
-        raise NotImplementedError
-
-    def run_until_idle(self) -> int:
-        """Drain the queue completely; returns the time of the last event."""
-        raise NotImplementedError
-
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Run until the queue drains, ``until`` is reached, or ``max_events``.
-
-        Returns the simulation time at exit. When ``until`` is given the
-        clock is advanced to exactly ``until`` even if the queue drained
-        earlier, so rate computations stay meaningful.
-        """
-        raise NotImplementedError
-
-    def next_foreign_event_time(self) -> Optional[int]:
-        """Earliest pending live event *outside the step lane*, or None.
-
-        This is the busy-cycle fast-forward horizon: a batching core
-        must stop at the next event that could originate an effect on
-        it. Other cores' issue-loop steps are excluded -- their effects
-        arrive either as main-queue events (capped here) or by firing
-        this core's wake signal (which interrupts the batch).
-        """
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # shared queries
-    # ------------------------------------------------------------------
-    def _next_step_time(self) -> Optional[int]:
-        """Earliest live step-lane event, or None. In place: dispatch
-        loops alias ``self._steps``, so only heappop mutation is safe
-        here (the same discipline as :meth:`_note_cancel`)."""
-        steps = self._steps
-        while steps and steps[0][2].cancelled:
-            heapq.heappop(steps)
-        return steps[0][0] if steps else None
-
-    def next_event_time(self) -> Optional[int]:
-        """Time of the earliest pending live event, or None when idle.
-
-        Covers both lanes. Safe to call from inside a dispatched
-        callback mid-run: cancelled heads are discarded with the same
-        in-place discipline as :meth:`_note_cancel`, never by rebinding
-        a list the run loop holds an alias to.
-        """
-        t = self.next_foreign_event_time()
-        s = self._next_step_time()
-        if s is not None and (t is None or s < t):
-            return s
-        return t
-
-    # retained alias: older callers/tests peek through the private name
-    _peek_time = next_event_time
-
-    @property
-    def pending_events(self) -> int:
-        """Number of scheduled, non-cancelled callbacks (O(1))."""
-        return self._live
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<{type(self).__name__} t={self._now} "
-                f"pending={self.pending_events}>")
-
-
-class HeapEngine(Engine):
-    """Reference backing store: one binary heap, lazy global compaction."""
-
-    queue_kind = "heap"
-
-    def __init__(self, config: Optional[EngineConfig] = None) -> None:
-        super().__init__(config)
-        self._queue: List[Tuple[int, int, ScheduledCall]] = []
-
-    # ------------------------------------------------------------------
-    def at(self, time: int, fn: Callable[..., Any], *args: Any) -> ScheduledCall:
-        time = int(time)
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time}, current time is t={self._now}"
-            )
-        call = ScheduledCall(time, fn, args, self)
-        heapq.heappush(self._queue, (time, next(self._seq), call))
-        self._live += 1
-        return call
-
-    def _note_cancel(self, call: ScheduledCall) -> None:
         self._live -= 1
         if call.step:
             # step-lane tombstones are rare (an interrupted batch) and
             # few (one per core); dispatch pops them lazily
             return
         # lazily compact once cancelled entries outnumber live ones.
-        # In place: run()/run_until_idle() hold a local alias to the
-        # list, so rebinding self._queue mid-run would strand every
-        # event scheduled after the compaction in a heap the dispatch
-        # loop never looks at.
+        # In place: _dispatch() holds a local alias to the list, so
+        # rebinding self._queue mid-run would strand every event
+        # scheduled after the compaction in a heap the dispatch loop
+        # never looks at.
         queue = self._queue
         # dead-entry estimate: _live spans both lanes, and live step
         # events (at most one per core) make this a slight overcount
@@ -332,450 +201,118 @@ class HeapEngine(Engine):
             heapq.heapify(queue)
 
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        queue = self._queue
-        steps = self._steps
-        while queue or steps:
-            if steps and (not queue or steps[0] < queue[0]):
-                time, _seq, call = heapq.heappop(steps)
-            else:
-                time, _seq, call = heapq.heappop(queue)
-            if call.cancelled:
-                continue
-            self._now = time
-            self._events_processed += 1
-            self._live -= 1
-            call._engine = None
-            call.fn(*call.args)
-            return True
-        return False
-
-    def run_until_idle(self) -> int:
+    # execution
+    # ------------------------------------------------------------------
+    def _dispatch(self, until: int, limit: int) -> int:
+        """The dispatch core: run live events in ``(time, seq)`` order
+        until both lanes drain, the next live event lies past ``until``,
+        or ``limit`` events have run. Returns the unused budget."""
         queue = self._queue
         steps = self._steps
         pop = heapq.heappop
-        while True:
+        while limit > 0:
             # merge the two lanes by (time, seq); seq is shared, so the
             # tuple comparison reproduces the single-queue order exactly
             if steps:
                 if queue and queue[0] < steps[0]:
-                    time, _seq, call = pop(queue)
+                    src = queue
                 else:
-                    time, _seq, call = pop(steps)
+                    src = steps
             elif queue:
-                time, _seq, call = pop(queue)
+                src = queue
             else:
                 break
+            time, seq, call = pop(src)
             if call.cancelled:
                 continue
+            if time > until:
+                # past the horizon: put it back (heap position is
+                # irrelevant; order is fixed by the (time, seq) key)
+                heapq.heappush(src, (time, seq, call))
+                break
             self._now = time
             self._events_processed += 1
             self._live -= 1
+            limit -= 1
             call._engine = None
             call.fn(*call.args)
+        return limit
+
+    def step(self) -> bool:
+        """Dispatch the next pending event. Returns False if none remain."""
+        return self._dispatch(_NEVER, 1) == 0
+
+    def run_until_idle(self) -> int:
+        """Drain the queue completely; returns the time of the last event."""
+        self._dispatch(_NEVER, _NEVER)
         return self._now
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
+        """Run until the queue drains, ``until`` is reached, or ``max_events``.
+
+        Returns the simulation time at exit. When ``until`` is given the
+        clock is advanced to exactly ``until`` even if the queue drained
+        earlier, so rate computations stay meaningful.
+        """
         if until is None and max_events is None:
             return self.run_until_idle()
         prior_until = self._run_until
         self._run_until = int(until) if until is not None else None
         try:
-            queue = self._queue
-            steps = self._steps
-            pop = heapq.heappop
-            dispatched = 0
-            while queue or steps:
-                if steps and (not queue or steps[0] < queue[0]):
-                    src = steps
-                else:
-                    src = queue
-                time, _seq, call = src[0]
-                if call.cancelled:
-                    pop(src)
-                    continue
-                if until is not None and time > until:
-                    break
-                if max_events is not None and dispatched >= max_events:
-                    break
-                pop(src)
-                self._now = time
-                self._events_processed += 1
-                self._live -= 1
-                dispatched += 1
-                call._engine = None
-                call.fn(*call.args)
+            self._dispatch(_NEVER if until is None else int(until),
+                           _NEVER if max_events is None else max_events)
         finally:
             self._run_until = prior_until
         if until is not None and self._now < until:
             self._now = int(until)
         return self._now
 
+    # ------------------------------------------------------------------
+    # queries
+    # ------------------------------------------------------------------
     def next_foreign_event_time(self) -> Optional[int]:
-        # In place, like _note_cancel: run() holds a local alias to
-        # self._queue, so cancelled heads are heappop'ed out of the
+        """Earliest pending live event *outside the step lane*, or None.
+
+        This is the busy-cycle fast-forward horizon: a batching core
+        must stop at the next event that could originate an effect on
+        it. Other cores' issue-loop steps are excluded -- their effects
+        arrive either as main-queue events (capped here) or by firing
+        this core's wake signal (which interrupts the batch).
+        """
+        # In place, like _note_cancel: _dispatch() holds a local alias
+        # to self._queue, so cancelled heads are heappop'ed out of the
         # shared list object -- never sliced into a rebound copy.
         queue = self._queue
         while queue and queue[0][2].cancelled:
             heapq.heappop(queue)
         return queue[0][0] if queue else None
 
-
-class WheelEngine(Engine):
-    """Calendar-queue backing store: per-timestamp buckets.
-
-    ``_buckets`` maps a timestamp to its ``(seq, call)`` list (append
-    order *is* seq order -- the shared counter is monotone), and
-    ``_times`` is a heap of distinct timestamps. A timestamp whose
-    bucket has been consumed or fully cancelled goes stale in ``_times``
-    and is skipped on pop. Dispatch walks the earliest bucket by index
-    (``_cur_*``), so same-time events appended by callbacks are picked
-    up in seq order, exactly like the reference heap.
-    """
-
-    queue_kind = "wheel"
-
-    def __init__(self, config: Optional[EngineConfig] = None) -> None:
-        super().__init__(config)
-        self._buckets: Dict[int, List[Tuple[int, ScheduledCall]]] = {}
-        self._bucket_dead: Dict[int, int] = {}
-        self._times: List[int] = []
-        # dispatch cursor: the bucket currently being walked
-        self._cur_time: int = 0
-        self._cur_bucket: Optional[List[Tuple[int, ScheduledCall]]] = None
-        self._cur_idx: int = 0
-
-    # ------------------------------------------------------------------
-    def at(self, time: int, fn: Callable[..., Any], *args: Any) -> ScheduledCall:
-        time = int(time)
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time}, current time is t={self._now}"
-            )
-        if self._cur_bucket is not None and time < self._cur_time:
-            # only reachable after a bounded run (max_events / step())
-            # stopped mid-bucket: re-close the cursor so the earlier
-            # timestamp is ordered ahead of the open bucket's remainder
-            self._reclose_cursor()
-        call = ScheduledCall(time, fn, args, self)
-        seq = next(self._seq)
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            self._buckets[time] = [(seq, call)]
-            heapq.heappush(self._times, time)
-        else:
-            bucket.append((seq, call))
-        self._live += 1
-        return call
-
-    def after(self, delay: int, fn: Callable[..., Any], *args: Any) -> ScheduledCall:
-        # at() inlined (minus the past-time check -- delay >= 0 makes it
-        # unreachable): after() is the cluster layers' only scheduling
-        # call, hot enough that the extra frame shows up in profiles
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        time = self._now + int(delay)
-        if self._cur_bucket is not None and time < self._cur_time:
-            self._reclose_cursor()
-        call = ScheduledCall(time, fn, args, self)
-        seq = next(self._seq)
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            self._buckets[time] = [(seq, call)]
-            heapq.heappush(self._times, time)
-        else:
-            bucket.append((seq, call))
-        self._live += 1
-        return call
-
-    def _reclose_cursor(self) -> None:
-        """Return the open bucket's unwalked remainder to the timestamp
-        heap (cold path; see :meth:`at`)."""
-        t = self._cur_time
-        bucket = self._cur_bucket
-        self._cur_bucket = None
-        del bucket[:self._cur_idx]
-        self._cur_idx = 0
-        live = [e for e in bucket if not e[1].cancelled]
-        if live:
-            bucket[:] = live
-            self._bucket_dead.pop(t, None)  # no tombstones left
-            heapq.heappush(self._times, t)
-        else:
-            del self._buckets[t]
-            self._bucket_dead.pop(t, None)
-
-    def _note_cancel(self, call: ScheduledCall) -> None:
-        self._live -= 1
-        if call.step:
-            return
-        t = call.time
-        bucket = self._buckets.get(t)
-        if bucket is None:
-            return  # bucket already consumed or freed
-        dead = self._bucket_dead.get(t, 0) + 1
-        if bucket is self._cur_bucket:
-            # mid-dispatch: the cursor skips tombstones; compacting now
-            # would shift entries under it
-            self._bucket_dead[t] = dead
-            return
-        if dead >= len(bucket):
-            # every event at this timestamp is cancelled: free the whole
-            # bucket now (its entry in _times goes stale and is skipped)
-            del self._buckets[t]
-            self._bucket_dead.pop(t, None)
-        elif dead >= _COMPACT_MIN_BUCKET and dead > len(bucket) // 2:
-            bucket[:] = [e for e in bucket if not e[1].cancelled]
-            # drop the key (not a zero) so an otherwise cancellation-free
-            # run returns _bucket_dead to empty, the consume sites' guard
-            self._bucket_dead.pop(t, None)
-        else:
-            self._bucket_dead[t] = dead
-
-    # ------------------------------------------------------------------
-    def _pop_next(self, limit: Optional[int]
-                  ) -> Optional[Tuple[int, ScheduledCall]]:
-        """Remove and return the next live ``(time, call)`` across both
-        lanes, or None when drained / past ``limit``. All mutations are
-        in place (cursor fields, heappop) so the call is re-entrant with
-        respect to callbacks scheduling into the open bucket."""
-        buckets = self._buckets
-        times = self._times
+    def _next_step_time(self) -> Optional[int]:
+        """Earliest live step-lane event, or None (in place, like
+        :meth:`next_foreign_event_time`)."""
         steps = self._steps
-        while True:
-            # main-lane head key -------------------------------------
-            bucket = self._cur_bucket
-            if bucket is not None:
-                t = self._cur_time
-                idx = self._cur_idx
-                n = len(bucket)
-                while idx < n and bucket[idx][1].cancelled:
-                    idx += 1
-                if idx == n:
-                    # bucket consumed; only now does its dict entry go.
-                    # _bucket_dead is empty unless something cancelled,
-                    # so the truth test keeps the cancellation-free hot
-                    # path (cluster PS completions) to one dict delete
-                    del buckets[t]
-                    if self._bucket_dead:
-                        self._bucket_dead.pop(t, None)
-                    self._cur_bucket = None
-                    continue
-                self._cur_idx = idx
-                main_key: Optional[Tuple[int, int]] = (t, bucket[idx][0])
-            else:
-                main_key = None
-                while times:
-                    t0 = times[0]
-                    b = buckets.get(t0)
-                    if b is None:
-                        heapq.heappop(times)  # stale timestamp
-                        continue
-                    # a leading tombstone's seq is a valid proxy: if it
-                    # loses to the step lane we just skip it next pass
-                    main_key = (t0, b[0][0])
-                    break
-            # step-lane head key -------------------------------------
-            while steps and steps[0][2].cancelled:
-                heapq.heappop(steps)
-            if steps:
-                head = steps[0]
-                if main_key is None or (head[0], head[1]) < main_key:
-                    if limit is not None and head[0] > limit:
-                        return None
-                    heapq.heappop(steps)
-                    return head[0], head[2]
-            if main_key is None:
-                return None
-            t = main_key[0]
-            if limit is not None and t > limit:
-                return None
-            if self._cur_bucket is None:
-                # open the winning bucket and re-evaluate (leading
-                # tombstones, step-lane ties) with the cursor set
-                heapq.heappop(times)
-                self._cur_time = t
-                self._cur_bucket = buckets[t]
-                self._cur_idx = 0
-                continue
-            entry = self._cur_bucket[self._cur_idx]
-            self._cur_idx += 1
-            return t, entry[1]
+        while steps and steps[0][2].cancelled:
+            heapq.heappop(steps)
+        return steps[0][0] if steps else None
 
-    def step(self) -> bool:
-        nxt = self._pop_next(None)
-        if nxt is None:
-            return False
-        time, call = nxt
-        self._now = time
-        self._events_processed += 1
-        self._live -= 1
-        call._engine = None
-        call.fn(*call.args)
-        return True
+    def next_event_time(self) -> Optional[int]:
+        """Time of the earliest pending live event, or None when idle.
 
-    def run_until_idle(self) -> int:
-        # The unbounded drain is the cluster experiments' hot loop, so
-        # the empty-step-lane case (no ISA cores on the engine) is
-        # dispatched inline instead of through _pop_next -- one bucket
-        # walk per event, no per-event function call. Cursor state stays
-        # in the instance fields so callbacks that schedule, cancel, or
-        # run nested bounded drains observe exactly the _pop_next
-        # discipline.
-        buckets = self._buckets
-        times = self._times
-        heappop = heapq.heappop
-        while True:
-            if self._steps:
-                # two-lane merge: delegate to the general dispatcher
-                nxt = self._pop_next(None)
-                if nxt is None:
-                    return self._now
-                time, call = nxt
-                self._now = time
-                self._events_processed += 1
-                self._live -= 1
-                call._engine = None
-                call.fn(*call.args)
-                continue
-            bucket = self._cur_bucket
-            if bucket is None:
-                while times:
-                    t0 = heappop(times)
-                    b = buckets.get(t0)
-                    if b is not None:
-                        self._cur_time = t0
-                        self._cur_bucket = b
-                        self._cur_idx = 0
-                        break
-                else:
-                    return self._now
-                continue
-            idx = self._cur_idx
-            if idx < len(bucket):
-                call = bucket[idx][1]
-                self._cur_idx = idx + 1
-                if call.cancelled:
-                    continue
-                self._now = self._cur_time
-                self._events_processed += 1
-                self._live -= 1
-                call._engine = None
-                call.fn(*call.args)
-            else:
-                del buckets[self._cur_time]
-                if self._bucket_dead:  # empty unless something cancelled
-                    self._bucket_dead.pop(self._cur_time, None)
-                self._cur_bucket = None
+        Covers both lanes. Safe to call from inside a dispatched
+        callback mid-run: cancelled heads are discarded in place, never
+        by rebinding a list the dispatch core holds an alias to.
+        """
+        t = self.next_foreign_event_time()
+        s = self._next_step_time()
+        if s is not None and (t is None or s < t):
+            return s
+        return t
 
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        if until is None and max_events is None:
-            return self.run_until_idle()
-        prior_until = self._run_until
-        limit = int(until) if until is not None else None
-        self._run_until = limit
-        try:
-            if max_events is None:
-                self._run_bounded(limit)
-            else:
-                pop_next = self._pop_next
-                dispatched = 0
-                while dispatched < max_events:
-                    nxt = pop_next(limit)
-                    if nxt is None:
-                        break
-                    time, call = nxt
-                    self._now = time
-                    self._events_processed += 1
-                    self._live -= 1
-                    dispatched += 1
-                    call._engine = None
-                    call.fn(*call.args)
-        finally:
-            self._run_until = prior_until
-        if until is not None and self._now < until:
-            self._now = int(until)
-        return self._now
+    @property
+    def pending_events(self) -> int:
+        """Number of scheduled, non-cancelled callbacks (O(1))."""
+        return self._live
 
-    def _run_bounded(self, limit: int) -> None:
-        """Horizon-bounded drain, inlined like :meth:`run_until_idle`
-        (``run(until=...)`` is how the cluster experiments drive their
-        engines). Events past ``limit`` stay in the store untouched."""
-        buckets = self._buckets
-        times = self._times
-        heappop = heapq.heappop
-        while True:
-            if self._steps:
-                nxt = self._pop_next(limit)
-                if nxt is None:
-                    return
-                time, call = nxt
-                self._now = time
-                self._events_processed += 1
-                self._live -= 1
-                call._engine = None
-                call.fn(*call.args)
-                continue
-            bucket = self._cur_bucket
-            if bucket is None:
-                while times:
-                    t0 = times[0]
-                    b = buckets.get(t0)
-                    if b is None:
-                        heappop(times)  # stale timestamp
-                        continue
-                    if t0 > limit:
-                        return
-                    heappop(times)
-                    self._cur_time = t0
-                    self._cur_bucket = b
-                    self._cur_idx = 0
-                    break
-                else:
-                    return
-                continue
-            t = self._cur_time
-            if t > limit:
-                # cursor left open past the horizon by an outer or
-                # earlier bounded run
-                return
-            idx = self._cur_idx
-            if idx < len(bucket):
-                call = bucket[idx][1]
-                self._cur_idx = idx + 1
-                if call.cancelled:
-                    continue
-                self._now = t
-                self._events_processed += 1
-                self._live -= 1
-                call._engine = None
-                call.fn(*call.args)
-            else:
-                del buckets[t]
-                if self._bucket_dead:  # empty unless something cancelled
-                    self._bucket_dead.pop(t, None)
-                self._cur_bucket = None
-
-    def next_foreign_event_time(self) -> Optional[int]:
-        bucket = self._cur_bucket
-        if bucket is not None:
-            # called from inside a dispatched callback: live entries not
-            # yet walked at the open timestamp are still pending events
-            for i in range(self._cur_idx, len(bucket)):
-                if not bucket[i][1].cancelled:
-                    return self._cur_time
-        times = self._times
-        buckets = self._buckets
-        while times:
-            t = times[0]
-            live = buckets.get(t)
-            if live is None:
-                heapq.heappop(times)  # stale: consumed or fully cancelled
-                continue
-            # a surviving bucket always holds at least one live entry
-            # (_note_cancel frees fully-dead buckets immediately)
-            return t
-        return None
-
-
-_ENGINES: Dict[str, type] = {"heap": HeapEngine, "wheel": WheelEngine}
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (f"<{type(self).__name__} t={self._now} "
+                f"pending={self.pending_events}>")

@@ -1,19 +1,11 @@
 """The engine fast path: O(1) pending count, lazy compaction,
 run_until_idle, and the run_until horizon the core fast-forward reads."""
 
-import pytest
-
-from repro.sim.engine import (_COMPACT_MIN_QUEUE, Engine, HeapEngine,
-                              WheelEngine)
+from repro.sim.engine import _COMPACT_MIN_QUEUE, Engine
 
 
-@pytest.fixture(params=["heap", "wheel"])
-def make_engine(request):
-    return {"heap": HeapEngine, "wheel": WheelEngine}[request.param]
-
-
-def test_pending_events_counter_tracks_cancel_and_dispatch(make_engine):
-    engine = make_engine()
+def test_pending_events_counter_tracks_cancel_and_dispatch():
+    engine = Engine()
     calls = [engine.at(t, lambda: None) for t in (5, 10, 15)]
     assert engine.pending_events == 3
     calls[1].cancel()
@@ -26,8 +18,7 @@ def test_pending_events_counter_tracks_cancel_and_dispatch(make_engine):
 
 
 def test_lazy_compaction_prunes_cancelled_entries():
-    # heap-specific internals: the wheel frees per-bucket instead
-    engine = HeapEngine()
+    engine = Engine()
     calls = [engine.at(i + 1, lambda: None)
              for i in range(2 * _COMPACT_MIN_QUEUE)]
     for call in calls[: _COMPACT_MIN_QUEUE + 1]:
@@ -39,22 +30,8 @@ def test_lazy_compaction_prunes_cancelled_entries():
     assert engine.events_processed == _COMPACT_MIN_QUEUE - 1
 
 
-def test_wheel_frees_fully_cancelled_buckets_immediately():
-    engine = WheelEngine()
-    calls = [engine.at(100, lambda: None) for _ in range(6)]
-    engine.at(200, lambda: None)
-    for call in calls:
-        call.cancel()
-    # the t=100 bucket went fully dead and was dropped on the spot
-    assert 100 not in engine._buckets
-    assert engine.pending_events == 1
-    assert engine.next_event_time() == 200
-    engine.run()
-    assert engine.events_processed == 1
-
-
-def test_run_until_idle_drains_and_returns_last_time(make_engine):
-    engine = make_engine()
+def test_run_until_idle_drains_and_returns_last_time():
+    engine = Engine()
     seen = []
     engine.at(3, seen.append, "a")
     engine.at(9, seen.append, "b")
@@ -63,8 +40,8 @@ def test_run_until_idle_drains_and_returns_last_time(make_engine):
     assert engine.pending_events == 0
 
 
-def test_next_event_time_skips_cancelled_heads(make_engine):
-    engine = make_engine()
+def test_next_event_time_skips_cancelled_heads():
+    engine = Engine()
     first = engine.at(4, lambda: None)
     engine.at(7, lambda: None)
     assert engine.next_event_time() == 4
@@ -72,8 +49,8 @@ def test_next_event_time_skips_cancelled_heads(make_engine):
     assert engine.next_event_time() == 7
 
 
-def test_run_until_exposed_only_inside_bounded_run(make_engine):
-    engine = make_engine()
+def test_run_until_exposed_only_inside_bounded_run():
+    engine = Engine()
     seen = []
     engine.at(5, lambda: seen.append(engine.run_until))
     assert engine.run_until is None

@@ -333,18 +333,3 @@ class TestE17Shape:
 
     def test_all_claims_supported(self, results):
         assert results["E17"].all_supported()
-
-
-class TestEngineQueueIdentity:
-    """The two engine backing stores must be observationally equivalent:
-    the queueing-heavy experiment tables (single server, cluster, ISA
-    backend pair) have to come out byte-identical whichever store the
-    REPRO_ENGINE_QUEUE switch selects."""
-
-    @pytest.mark.parametrize("eid", ["E09", "E14", "E15"])
-    def test_tables_identical_across_queue_modes(self, eid, monkeypatch):
-        renders = {}
-        for mode in ("heap", "wheel"):
-            monkeypatch.setenv("REPRO_ENGINE_QUEUE", mode)
-            renders[mode] = get_experiment(eid).run(quick=True).render()
-        assert renders["heap"] == renders["wheel"]

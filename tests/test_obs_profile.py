@@ -18,6 +18,17 @@ class TestCoreProfile:
         profile.settle(25)
         assert profile.buckets["stall"] == 15
 
+    def test_split_pend_charges_first_cycle_then_remainder(self):
+        # an issue round whose merged stall shares the same wait
+        profile = CoreProfile(0)
+        profile.pend("issue", 10, "stall")
+        assert profile.snapshot(10)["issue"] == 0
+        assert profile.snapshot(11)["issue"] == 1
+        assert profile.snapshot(11)["stall"] == 0
+        profile.settle(15)
+        assert profile.buckets["issue"] == 1
+        assert profile.buckets["stall"] == 4
+
     def test_settle_without_pend_is_noop(self):
         profile = CoreProfile(0)
         profile.settle(100)
@@ -97,6 +108,37 @@ class TestExperimentsSumExactly:
             for buckets in machine.obs.profiler.snapshot(now).values():
                 assert sum(buckets[b] for b in BUCKETS) == now
                 assert buckets["total"] == now
+
+    @pytest.mark.parametrize("experiment_id", ["E02", "E18"])
+    def test_instrumentation_schedules_what_plain_runs_schedule(
+            self, experiment_id, monkeypatch):
+        # no observer effect: the profiler hooks only record, so a run
+        # inside an obs session dispatches the same engine events per
+        # machine, and renders the same table, as the same run without
+        # one (E02 and E18 are the cases where an instrumented issue
+        # loop without the merged-stall skip resumed more often)
+        import repro.obs as obs
+        from repro.experiments import get_experiment
+        from repro.machine import Machine
+
+        built = []
+        init = Machine.__init__
+
+        def recording_init(machine, *args, **kwargs):
+            init(machine, *args, **kwargs)
+            built.append(machine)
+
+        monkeypatch.setattr(Machine, "__init__", recording_init)
+        experiment = get_experiment(experiment_id)
+        plain_table = experiment.run(quick=True).render()
+        plain_events = [m.engine.events_processed for m in built]
+        built.clear()
+        with obs.session(experiment_id) as sess:
+            instrumented_table = experiment.run(quick=True).render()
+        assert sess.machines == built
+        assert plain_events
+        assert [m.engine.events_processed for m in built] == plain_events
+        assert instrumented_table == plain_table
 
     def test_some_experiments_do_build_machines(self):
         import repro.obs as obs

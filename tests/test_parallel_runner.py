@@ -7,11 +7,7 @@ from repro.experiments import all_experiments
 from repro.experiments.parallel import run_parallel
 
 
-@pytest.mark.parametrize("queue_mode", ["heap", "wheel"])
-def test_parallel_matches_serial_byte_for_byte(queue_mode, monkeypatch):
-    # both engine backing stores must hold the serial/parallel identity
-    # (workers inherit the env var through the spawn environment)
-    monkeypatch.setenv("REPRO_ENGINE_QUEUE", queue_mode)
+def test_parallel_matches_serial_byte_for_byte():
     serial = [experiment.run(quick=True)
               for experiment in all_experiments()]
     parallel = run_parallel(quick=True, workers=4)

@@ -103,6 +103,129 @@ class TestEngineDeterminism:
         assert run_once() == run_once()
 
 
+#: Scheduling actions the dispatch-order property draws from: a
+#: scheduling call with its delay from now, a cancel of the n-th call
+#: made so far (modulo the count; a no-op once it has fired), or a purge
+#: that cancels two of every three calls (crossing the compaction
+#: threshold, possibly from inside a callback mid-run).
+_ENGINE_ACTION = st.one_of(
+    st.tuples(st.just("schedule"),
+              st.sampled_from(("at", "after", "at_step", "after_step")),
+              st.integers(min_value=0, max_value=6)),
+    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=500)),
+    st.tuples(st.just("purge")))
+
+_ENGINE_DRIVER = st.one_of(
+    st.tuples(st.just("step")),
+    st.tuples(st.just("until"), st.integers(min_value=0, max_value=8)),
+    st.tuples(st.just("max_events"), st.integers(min_value=0, max_value=6)),
+    st.tuples(st.just("idle")),
+    st.tuples(st.just("burst"), st.integers(min_value=1, max_value=80)),
+    _ENGINE_ACTION)
+
+
+class TestDispatchMatchesSortedReference:
+    """The engine's single dispatch core against a sorted-list model.
+
+    Random interleavings of ``at``/``after``/``at_step``/``after_step``/
+    ``cancel``, driven by ``step()``, ``run(until=...)``,
+    ``run(max_events=...)`` and ``run_until_idle()``, with callbacks that
+    themselves schedule and cancel (including at the current time). Every
+    dispatch must be the smallest live ``(time, seq)`` of the model, and
+    at every stop the engine's queries must match it.
+    """
+
+    MAX_CALLS = 300
+
+    @given(scripts=st.lists(st.lists(_ENGINE_ACTION, max_size=3),
+                            max_size=40),
+           drive=st.lists(_ENGINE_DRIVER, min_size=1, max_size=25))
+    @settings(max_examples=200, deadline=None)
+    def test_dispatch_order_and_queries(self, scripts, drive):
+        from repro.sim.engine import Engine
+
+        engine = Engine()
+        handles = []
+        # label -> (time, seq, step lane); calls are labelled in
+        # scheduling order, which is also the engine's seq order
+        model = {}
+        fired = []
+        horizon = [None]
+
+        def apply(action):
+            if action[0] == "schedule":
+                if len(handles) >= self.MAX_CALLS:
+                    return
+                _, kind, delay = action
+                label = len(handles)
+                time = engine.now + delay
+                if kind.startswith("at"):
+                    call = getattr(engine, kind)(time, fire, label)
+                else:
+                    call = getattr(engine, kind)(delay, fire, label)
+                handles.append(call)
+                model[label] = (time, label, kind.endswith("step"))
+            elif action[0] == "cancel":
+                if handles:
+                    label = action[1] % len(handles)
+                    handles[label].cancel()
+                    model.pop(label, None)
+            else:
+                for label, call in enumerate(handles):
+                    if label % 3:
+                        call.cancel()
+                        model.pop(label, None)
+
+        def fire(label):
+            assert (engine.now, label) == min(model.values())[:2]
+            assert horizon[0] is None or engine.now <= horizon[0]
+            del model[label]
+            fired.append(label)
+            if label < len(scripts):
+                for action in scripts[label]:
+                    apply(action)
+
+        def check_queries():
+            assert engine.pending_events == len(model)
+            times = [t for t, _, _ in model.values()]
+            assert engine.next_event_time() == (min(times) if times else None)
+            foreign = [t for t, _, step in model.values() if not step]
+            assert engine.next_foreign_event_time() == \
+                (min(foreign) if foreign else None)
+
+        for command in drive:
+            op = command[0]
+            before = len(fired)
+            if op == "step":
+                had = bool(model)
+                assert engine.step() is had
+                assert len(fired) - before == int(had)
+            elif op == "until":
+                until = engine.now + command[1]
+                horizon[0] = until
+                assert engine.run(until=until) == until
+                horizon[0] = None
+                assert engine.now == until
+                assert all(t > until for t, _, _ in model.values())
+            elif op == "max_events":
+                engine.run(max_events=command[1])
+                done = len(fired) - before
+                assert done == command[1] or (done < command[1] and not model)
+            elif op == "idle":
+                engine.run_until_idle()
+                assert not model
+            elif op == "burst":
+                for i in range(command[1]):
+                    apply(("schedule", "after", i % 7))
+            else:
+                apply(command)
+            check_queries()
+        engine.run_until_idle()
+        assert not model
+        check_queries()
+        assert engine.events_processed == len(fired)
+
+
 class TestStorageConservation:
     @given(contexts=st.integers(min_value=1, max_value=300),
            starts=st.lists(st.integers(min_value=0, max_value=299),

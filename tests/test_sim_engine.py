@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Engine
-from repro.sim.engine import HeapEngine, WheelEngine
 
 
 def test_time_starts_at_zero():
@@ -171,8 +170,7 @@ def test_mass_cancel_mid_run_keeps_later_events():
     assert engine.pending_events == 0
 
 
-@pytest.mark.parametrize("engine_cls", [HeapEngine, WheelEngine])
-def test_next_event_time_mid_run_keeps_later_events(engine_cls):
+def test_next_event_time_mid_run_keeps_later_events():
     # regression, same family as the stranded-event compaction bug
     # below: next_event_time used to pop cancelled heads straight off
     # self._queue while run() held a local alias to it, so peeking from
@@ -180,7 +178,7 @@ def test_next_event_time_mid_run_keeps_later_events(engine_cls):
     # event in a list the dispatch loop never looked at again. The peek
     # must prune tombstones with the same in-place discipline as
     # _note_cancel.
-    engine = engine_cls()
+    engine = Engine()
     seen = []
     doomed = [engine.at(1_000 + i, seen.append, "dead") for i in range(100)]
 
