@@ -681,6 +681,16 @@ def engine_markdown() -> str:
         "the list, so a compaction triggered from inside a callback",
         "must not rebind it.",
         "",
+        "A `ScheduledCall` handle holds three slots: `fn`, `args` and",
+        "a backref to its engine. `cancel()` clears `fn`, so",
+        "`cancelled` is simply `fn is None` and the dispatch core skips",
+        "a tombstone with one attribute load. Step-lane handles are a",
+        "`_StepCall` subclass whose class attribute `step = True` keeps",
+        "their cancels out of the main-queue compaction check. The dispatch",
+        "core drops the engine backref before it runs a callback, so a",
+        "cancel after dispatch only marks the handle and leaves",
+        "`pending_events` alone.",
+        "",
         "`step()`, `run(until=..., max_events=...)` and",
         "`run_until_idle()` are thin wrappers over one dispatch core,",
         "`Engine._dispatch(until, limit)`, so the three entry points",
@@ -731,6 +741,10 @@ def engine_markdown() -> str:
         "the progress accumulator (absorbing integer rounding of the",
         "deadline, never force-popping an undone job -- a hypothesis",
         "property test pins this) and re-arms from current state.",
+        "`offer()` and `_complete()` advance the shared progress inline",
+        "and re-arm through `_reschedule()`;",
+        "`tests/test_request_path_reference.py` checks both against a",
+        "reference copy with a separate advance step.",
         "",
         "## Benchmarks",
         "",

@@ -24,6 +24,7 @@ a hedge must land on a node the shard has not already tried.
 
 from __future__ import annotations
 
+from operator import attrgetter, methodcaller
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
@@ -34,6 +35,8 @@ from random import Random
 
 #: The policy names, in the order tables report them.
 POLICIES = ("random", "round-robin", "jsq", "p2c")
+
+_in_flight = methodcaller("in_flight")
 
 
 class LoadBalancer:
@@ -59,6 +62,9 @@ class LoadBalancer:
                 "a stale balancer (probe_delay_cycles > 0) needs the "
                 "engine to timestamp its probe snapshots")
         self.nodes = list(nodes)
+        # jsq scans in node-id order, so min()'s first minimum is the
+        # (load, node_id) tie-break without building a key tuple
+        self._by_id = sorted(self.nodes, key=attrgetter("node_id"))
         self.policy = policy
         self.rng = rng
         self.probe_delay_cycles = probe_delay_cycles
@@ -91,17 +97,19 @@ class LoadBalancer:
         If exclusion empties the candidate set (hedging on a cluster
         smaller than the retry budget) the full set is used again.
         """
-        candidates = [n for n in self.nodes if n not in exclude]
-        if not candidates:
-            candidates = self.nodes
         self.picks += 1
-        if self.policy == "random":
+        policy = self.policy
+        candidates = self._by_id if policy == "jsq" else self.nodes
+        if exclude:
+            candidates = [n for n in candidates if n not in exclude] \
+                or candidates
+        if policy == "random":
             return self.rng.choice(candidates)
-        if self.policy == "round-robin":
+        if policy == "round-robin":
             return self._pick_rr(candidates)
-        if self.policy == "jsq":
-            return min(candidates,
-                       key=lambda n: (self._load(n), n.node_id))
+        if policy == "jsq":
+            return min(candidates, key=_in_flight
+                       if self.probe_delay_cycles == 0 else self._load)
         # p2c: two distinct probes when possible, less loaded wins,
         # lower id on ties (deterministic)
         if len(candidates) == 1:
@@ -113,11 +121,17 @@ class LoadBalancer:
         return first
 
     def _pick_rr(self, candidates) -> ClusterNode:
+        nodes = self.nodes
+        if candidates is nodes:
+            # nothing excluded: the pointer's node is always a candidate
+            node = nodes[self._rr_next]
+            self._rr_next = (self._rr_next + 1) % len(nodes)
+            return node
         # advance the global pointer until it lands on a candidate, so
         # excluded nodes are skipped without desynchronizing the cycle
-        for _ in range(len(self.nodes)):
-            node = self.nodes[self._rr_next % len(self.nodes)]
-            self._rr_next = (self._rr_next + 1) % len(self.nodes)
+        for _ in range(len(nodes)):
+            node = nodes[self._rr_next % len(nodes)]
+            self._rr_next = (self._rr_next + 1) % len(nodes)
             if node in candidates:
                 return node
         return candidates[0]  # unreachable: candidates is non-empty

@@ -116,10 +116,15 @@ class _InflightRequest:
     request costs no generator coroutine, no waiter bookkeeping, and
     schedules exactly the engine events the coroutine it replaced did:
     one kick-off at arrival and one RTT timeout between segments.
+
+    Segments are strictly sequential, so one :class:`Request` carries
+    them all: each offer re-stamps its id, arrival and demand. Its
+    ``payload["done"]`` points back here, so the last segment drops
+    ``job`` to break the cycle.
     """
 
     __slots__ = ("model", "req_id", "segments", "rtt", "on_done",
-                 "arrived", "index")
+                 "arrived", "index", "job")
 
     def __init__(self, model: "RpcServerModel", req_id: int,
                  segments: list, rtt: int,
@@ -131,6 +136,7 @@ class _InflightRequest:
         self.on_done = on_done
         self.arrived = 0
         self.index = 0
+        self.job: Optional[Request] = None
 
     def start(self) -> None:
         model = self.model
@@ -138,6 +144,8 @@ class _InflightRequest:
         if model.active > model.peak_concurrency:
             model.peak_concurrency = model.active
         self.arrived = model.engine._now
+        self.job = Request(req_id=0, arrival_time=0.0, service_cycles=0,
+                           payload={"done": self})
         self._offer_segment()
 
     def _offer_segment(self) -> None:
@@ -155,11 +163,11 @@ class _InflightRequest:
                                         seg if seg > 1 else 1,
                                         overhead, 0)
         model._seg_counter += 1
-        model.cpu.offer(Request(
-            req_id=model._seg_counter,
-            arrival_time=float(model.engine._now),
-            service_cycles=demand,
-            payload={"done": self}))
+        job = self.job
+        job.req_id = model._seg_counter
+        job.arrival_time = float(model.engine._now)
+        job.service_cycles = demand
+        model.cpu.offer(job)
 
     def fire(self, _request: Optional[Request] = None) -> None:
         """Segment done (called by the queueing server's completion)."""
@@ -171,6 +179,7 @@ class _InflightRequest:
                 model.span_sink.node_demand(self.req_id, 0, 0, self.rtt)
             model.engine.after(self.rtt, self._offer_segment)
             return
+        self.job = None
         model.active -= 1
         model.completed += 1
         model.recorder.record(model.engine._now - self.arrived)

@@ -242,29 +242,27 @@ class ProcessorSharingServer(QueueingServer):
         self._deadline = 0  # absolute fire time of _pending_completion
 
     def offer(self, request: Request) -> None:
-        self._advance()
-        request.start_time = float(self.engine._now)
+        # the progress advance, inlined here and in _complete: offer
+        # runs once per segment and is the server's hottest entry
+        now = self.engine._now
+        heap = self._heap
+        n = len(heap)
+        elapsed = now - self._last_update
+        self._last_update = now
+        if n and elapsed > 0:
+            servers = self.servers
+            self.busy_cycles += elapsed * (n if n < servers else servers)
+            self._progress += elapsed * (1.0 if n <= servers else servers / n)
+        request.start_time = float(now)
         svc = float(request.service_cycles)
         key = (svc if svc > 1.0 else 1.0) + self._progress
-        heapq.heappush(self._heap, (key, next(self._seq), request))
+        heapq.heappush(heap, (key, next(self._seq), request))
         self._reschedule()
 
     def in_flight(self) -> int:
         return len(self._heap)
 
     # ------------------------------------------------------------------
-    def _advance(self) -> None:
-        """Accumulate the shared progress since the last event."""
-        now = self.engine._now
-        elapsed = now - self._last_update
-        self._last_update = now
-        n = len(self._heap)
-        if not n or elapsed <= 0:
-            return
-        servers = self.servers
-        self.busy_cycles += elapsed * (n if n < servers else servers)
-        self._progress += elapsed * (1.0 if n <= servers else servers / n)
-
     def _reschedule(self) -> None:
         """(Re)arm the completion timer -- the lazy-deadline pattern.
 
@@ -295,8 +293,16 @@ class ProcessorSharingServer(QueueingServer):
 
     def _complete(self) -> None:
         self._pending_completion = None
-        self._advance()
+        # the progress advance, as in offer: a change goes in both
+        now = self.engine._now
         heap = self._heap
+        n = len(heap)
+        elapsed = now - self._last_update
+        self._last_update = now
+        if n and elapsed > 0:
+            servers = self.servers
+            self.busy_cycles += elapsed * (n if n < servers else servers)
+            self._progress += elapsed * (1.0 if n <= servers else servers / n)
         threshold = self._progress + self.COMPLETION_EPSILON
         if heap and heap[0][0] <= threshold:
             heappop = heapq.heappop

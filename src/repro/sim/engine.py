@@ -46,31 +46,49 @@ _NEVER = sys.maxsize
 
 
 class ScheduledCall:
-    """Handle for a scheduled callback; supports cancellation."""
+    """Handle for a scheduled callback; supports cancellation.
 
-    __slots__ = ("time", "fn", "args", "cancelled", "step", "_engine")
+    Cancelling clears ``fn``: a handle is cancelled exactly when its
+    ``fn`` is None, so the dispatch core needs one attribute load to
+    skip a tombstone.
+    """
 
-    def __init__(self, time: int, fn: Callable[..., Any], args: Tuple[Any, ...],
+    __slots__ = ("fn", "args", "_engine")
+
+    #: True on step-lane handles (:class:`_StepCall`).
+    step = False
+
+    def __init__(self, fn: Callable[..., Any], args: Tuple[Any, ...],
                  engine: "Optional[Engine]" = None):
-        self.time = time
         self.fn = fn
         self.args = args
-        self.cancelled = False
-        self.step = False
         self._engine = engine
 
+    @property
+    def cancelled(self) -> bool:
+        return self.fn is None
+
     def cancel(self) -> None:
-        """Prevent the callback from firing. Idempotent, and a no-op
-        once the call has been dispatched (the dispatch core drops the
-        engine backref so a late cancel cannot skew the live count)."""
-        if not self.cancelled:
-            self.cancelled = True
+        """Prevent the callback from firing. Idempotent. Once the call
+        has been dispatched it only marks the handle cancelled: the
+        dispatch core drops the engine backref, so a late cancel cannot
+        skew the live count."""
+        if self.fn is not None:
+            self.fn = None
             if self._engine is not None:
                 self._engine._note_cancel(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<ScheduledCall t={self.time} {getattr(self.fn, '__name__', self.fn)} {state}>"
+        if self.fn is None:
+            return f"<{type(self).__name__} cancelled>"
+        return f"<{type(self).__name__} {getattr(self.fn, '__name__', self.fn)}>"
+
+
+class _StepCall(ScheduledCall):
+    """A step-lane handle (:meth:`Engine.at_step`)."""
+
+    __slots__ = ()
+    step = True
 
 
 class Engine:
@@ -126,7 +144,7 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule at t={time}, current time is t={self._now}"
             )
-        call = ScheduledCall(time, fn, args, self)
+        call = ScheduledCall(fn, args, self)
         heapq.heappush(self._queue, (time, next(self._seq), call))
         self._live += 1
         return call
@@ -139,7 +157,7 @@ class Engine:
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         time = self._now + int(delay)
-        call = ScheduledCall(time, fn, args, self)
+        call = ScheduledCall(fn, args, self)
         heapq.heappush(self._queue, (time, next(self._seq), call))
         self._live += 1
         return call
@@ -157,8 +175,7 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule at t={time}, current time is t={self._now}"
             )
-        call = ScheduledCall(time, fn, args, self)
-        call.step = True
+        call = _StepCall(fn, args, self)
         heapq.heappush(self._steps, (time, next(self._seq), call))
         self._live += 1
         return call
@@ -197,7 +214,7 @@ class Engine:
         # events (at most one per core) make this a slight overcount
         dead = len(queue) + len(self._steps) - self._live
         if dead > len(queue) // 2 and len(queue) >= _COMPACT_MIN_QUEUE:
-            queue[:] = [entry for entry in queue if not entry[2].cancelled]
+            queue[:] = [entry for entry in queue if entry[2].fn is not None]
             heapq.heapify(queue)
 
     # ------------------------------------------------------------------
@@ -223,7 +240,8 @@ class Engine:
             else:
                 break
             time, seq, call = pop(src)
-            if call.cancelled:
+            fn = call.fn
+            if fn is None:
                 continue
             if time > until:
                 # past the horizon: put it back (heap position is
@@ -235,7 +253,7 @@ class Engine:
             self._live -= 1
             limit -= 1
             call._engine = None
-            call.fn(*call.args)
+            fn(*call.args)
         return limit
 
     def step(self) -> bool:
@@ -283,7 +301,7 @@ class Engine:
         # to self._queue, so cancelled heads are heappop'ed out of the
         # shared list object -- never sliced into a rebound copy.
         queue = self._queue
-        while queue and queue[0][2].cancelled:
+        while queue and queue[0][2].fn is None:
             heapq.heappop(queue)
         return queue[0][0] if queue else None
 
@@ -291,7 +309,7 @@ class Engine:
         """Earliest live step-lane event, or None (in place, like
         :meth:`next_foreign_event_time`)."""
         steps = self._steps
-        while steps and steps[0][2].cancelled:
+        while steps and steps[0][2].fn is None:
             heapq.heappop(steps)
         return steps[0][0] if steps else None
 

@@ -78,6 +78,18 @@ class TestFabric:
         assert engine.next_event_time() == 9_999
         assert fabric.link_for("b", "a") == fabric.default_link
 
+    def test_set_link_after_traffic_applies_to_next_send(self):
+        engine, fabric = self._fabric(jitter_mean_cycles=0.0)
+        fabric.send("a", "b", lambda: None)
+        engine.run()
+        assert engine.now == fabric.default_link.base_cycles
+        fabric.set_link("a", "b", LinkSpec(base_cycles=9_999,
+                                           jitter_mean_cycles=0.0))
+        fabric.send("a", "b", lambda: None)
+        assert engine.next_event_time() == engine.now + 9_999
+        fabric.set_link("a", "b", LinkSpec(drop_prob=0.999999))
+        assert fabric.send("a", "b", lambda: None) is False
+
     def test_mean_delay_counts_carried_only(self):
         _, fabric = self._fabric(jitter_mean_cycles=0.0)
         fabric.send("a", "b", lambda: None)

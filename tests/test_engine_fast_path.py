@@ -60,3 +60,34 @@ def test_run_until_exposed_only_inside_bounded_run():
     engine.at(60, lambda: seen.append(engine.run_until))
     engine.run()  # unbounded: no horizon
     assert seen == [50, None]
+
+
+def test_cancel_after_dispatch_only_marks_the_handle():
+    engine = Engine()
+    fired = engine.at(5, lambda: None)
+    engine.at(9, lambda: None)
+    engine.step()
+    assert not fired.cancelled
+    assert engine.pending_events == 1
+    fired.cancel()  # too late: must not touch the live count
+    assert fired.cancelled
+    assert engine.pending_events == 1
+    engine.run()
+    assert engine.events_processed == 2
+    assert engine.pending_events == 0
+
+
+def test_cancelled_step_call_never_fires():
+    engine = Engine()
+    seen = []
+    step = engine.at_step(4, seen.append, "step")
+    later = engine.after_step(8, seen.append, "later")
+    engine.at(4, seen.append, "main")
+    assert step.step and later.step
+    step.cancel()
+    later.cancel()
+    assert step.cancelled and later.cancelled
+    assert engine.pending_events == 1
+    engine.run()  # the dispatch core, not a peek, meets the tombstones
+    assert seen == ["main"]
+    assert engine.events_processed == 1
