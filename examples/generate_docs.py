@@ -435,7 +435,8 @@ def cluster_markdown() -> str:
                      "keeps them in the client's rack",
         "shards": "engine shards: partition the nodes over this many "
                   "worker engines (parallel-in-time PDES; 1 = classic "
-                  "single-engine run)",
+                  "single-engine run; >1 needs `random`/`round-robin` "
+                  "routing without hedging)",
         "coherence": "watch-bus coherence on each node's machine: `off` "
                      "(flat free bus), `directory` (priced MSI "
                      "directory), `null` (directory at zero cost); "
@@ -512,13 +513,16 @@ def cluster_markdown() -> str:
         "sent by time `T` can run through `T + lookahead` without risk",
         "-- the paper's own asymmetry (cross-machine communication",
         "costs orders of magnitude more than an intra-machine context",
-        "switch) recast as a synchronization guarantee. State-free",
-        "routing (`random`, `round-robin`, no hedging) upgrades to a",
-        "decoupled pipeline: a generation pass streams the outbound",
-        "request sequence ahead of the workers in adaptive windows,",
-        "and the client replays responses behind them. Load-aware",
-        "routing (`jsq`, `p2c`) and hedging fall back to lockstep",
-        "lookahead windows.",
+        "switch) recast as a synchronization guarantee. Sharded runs",
+        "use one schedule, a decoupled pipeline: a generation pass",
+        "streams the outbound request sequence ahead of the workers in",
+        "adaptive windows, and the client replays responses behind",
+        "them. That needs routing that reads no node state, so",
+        "`shards > 1` accepts only `random` or `round-robin` without",
+        "hedging. Load-aware routing (`jsq`, `p2c`) and hedging make",
+        "the next routing decision depend on node state; with",
+        "`shards > 1` they raise a `ConfigError` when the config is",
+        "built, before any worker starts. Run them with `shards=1`.",
         "",
         "Sharding is *invisible in the results*: every shard replays",
         "exactly the RNG draws its nodes and links would have made on",

@@ -106,7 +106,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="send a hedged shard after this many cycles")
     cluster.add_argument("--shards", type=int, default=1,
                          help="partition the run over N engine shards "
-                              "(conservative PDES; byte-identical output)")
+                              "(conservative PDES; byte-identical output; "
+                              "N > 1 needs random or round-robin routing "
+                              "without --hedge-after)")
     cluster.add_argument("--shard-transport", default="process",
                          choices=("process", "inline"),
                          help="shard workers as processes (parallel) or "
@@ -147,7 +149,11 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--queue-limit", type=int, default=None)
     trace.add_argument("--hedge-after", type=int, default=None,
                        metavar="CYCLES")
-    trace.add_argument("--shards", type=int, default=1)
+    trace.add_argument("--shards", type=int, default=1,
+                       help="partition the run over N engine shards "
+                            "(byte-identical spans; N > 1 needs random "
+                            "or round-robin routing without "
+                            "--hedge-after)")
     trace.add_argument("--shard-transport", default="process",
                        choices=("process", "inline"))
     trace.add_argument("--seed", type=lambda v: int(v, 0),

@@ -14,30 +14,25 @@ Topology
 The cluster is a star: nodes talk only to the client, never to each
 other. That makes the partition simple -- node ``i`` lives on shard
 ``i % shards``, each shard runs its own :class:`~repro.sim.engine.Engine`,
-and the client side (front-end, balancer, workload, hedge timers,
-latency recorder) runs on the coordinating engine. Cross-shard sends
-become timestamped tuples over pipes, delivered into the destination
-engine at ``send_time + sampled link delay``.
+and the client side (front-end, balancer, workload, latency recorder)
+runs on the coordinating engine. Cross-shard sends become timestamped
+tuples over pipes, delivered into the destination engine at
+``send_time + sampled link delay``.
 
-Two synchronization schedules
------------------------------
-*Windowed lockstep* (always correct): the run advances in windows of
-``lookahead`` cycles. Workers simulate ``(T, T+L]`` first -- every
-request that can arrive there was sent at or before ``T`` and is
-already shipped -- then the client replays the same window with the
-workers' rejections/responses injected at their exact timestamps.
-Load-aware policies (jsq, p2c) and hedging need this schedule because
-the client's next routing decision can depend on node state one
-response ago.
-
-*Decoupled pipeline* (the fast path, for outbound-independent
-configurations: ``random`` / ``round-robin`` routing without hedging):
-the client's outbound traffic is a pure function of the named RNG
-streams, so a first engine-less pass replays the draw sequence and
-streams every request to the workers ahead of time. Workers then run
-big adaptive windows while the client replays accounting one window
-behind -- synchronization cost amortizes to nothing and the window
-size self-tunes toward a target event count per batch.
+Synchronization schedule: the decoupled pipeline
+------------------------------------------------
+Only outbound-independent configurations shard: ``random`` /
+``round-robin`` routing without hedging
+(:data:`~repro.cluster.run.OUTBOUND_INDEPENDENT`). Their outbound
+traffic is a pure function of the named RNG streams, so a first
+engine-less pass replays the draw sequence and streams every request
+to the workers ahead of time. Workers then run big adaptive windows
+while the client replays accounting one window behind --
+synchronization cost amortizes to nothing and the window size
+self-tunes toward a target event count per batch. Load-aware routing
+(``jsq``, ``p2c``) and hedging make the next routing decision depend
+on node state, so they cannot be pipelined; :class:`ClusterConfig`
+rejects them with ``shards > 1`` as a :class:`ConfigError`.
 
 Workers waiting at a window barrier spin before parking (the
 "Switchless Calls Made Configless" idea): the spin budget grows on
@@ -71,6 +66,7 @@ from repro.cluster.fabric import Fabric
 from repro.cluster.node import ClusterNode
 from repro.cluster.service import CLIENT, ClusterService
 from repro.cluster.run import (
+    OUTBOUND_INDEPENDENT,
     ClusterConfig,
     ClusterRunResult,
     drive_workload,
@@ -91,11 +87,6 @@ class CausalityError(SimulationError):
     """The conservative protocol was violated: a cross-shard message
     would have to be delivered in a shard's already-committed past."""
 
-
-#: Policies whose routing decisions read no node state: the outbound
-#: request sequence is a pure function of the RNG streams, which
-#: enables the decoupled pipeline schedule.
-OUTBOUND_INDEPENDENT = ("random", "round-robin")
 
 #: Transports for the shard workers.
 TRANSPORTS = ("process", "inline")
@@ -123,11 +114,12 @@ def shard_node_ids(nodes: int, shards: int) -> List[List[int]]:
 class _ProxyNode:
     """Client-side stand-in for a remote node.
 
-    Mirrors the counters the front-end, balancer, conservation audit,
-    tracer merge, and obs snapshot read -- updated at the exact
-    timestamps the remote events carry, so ``jsq`` load signals and
-    busy/idle timelines equal the single-engine run. ``busy_cycles``
-    is folded in from the worker's final stats at the end of the run.
+    Mirrors the counters the front-end, conservation audit, tracer
+    merge, and obs snapshot read -- updated at the exact timestamps
+    the remote events carry, so busy/idle timelines equal the
+    single-engine run. The balancer never reads them: sharded runs
+    route without node state. ``busy_cycles`` is folded in from the
+    worker's final stats at the end of the run.
     """
 
     def __init__(self, engine: Engine, node_id: int, design) -> None:
@@ -210,11 +202,6 @@ class ShardedClusterService(ClusterService):
         self._attempts: Dict[int, Tuple[Any, int, _ProxyNode]] = {}
         #: attempt ids the workers rejected, consulted at delivery time
         self._remote_rejected: set = set()
-        #: (send_ts, deliver_ts, attempt_id, node_id, cycles) to ship
-        self._outbox: List[Tuple[int, int, int, int, float]] = []
-        #: decoupled mode pre-ships requests from the generation pass,
-        #: so the live outbox is disabled there
-        self.collect_outbox = True
         #: protocol diagnostics (windows, lookahead, slack, waiter
         #: stats), filled by the coordinator
         self.pdes: Dict[str, Any] = {}
@@ -223,8 +210,8 @@ class ShardedClusterService(ClusterService):
     def _send_request(self, state, shard_index: int, cycles: float,
                       node, attempt_id: int) -> None:
         # same counters and same per-link draw order as Fabric.send,
-        # but delivery is a local accounting event and the request
-        # itself travels to the owning shard as a timestamped tuple
+        # but delivery is a local accounting event: the generation pass
+        # (_outbound_chunks) already shipped the request itself
         fabric = self.fabric
         spec = fabric.link_for(CLIENT, node.name)
         rng = fabric.rng_for(CLIENT, node.name)
@@ -241,16 +228,8 @@ class ShardedClusterService(ClusterService):
         fabric.in_flight += 1
         self.requests_on_wire += 1
         self._attempts[attempt_id] = (state, shard_index, node)
-        now = self.engine.now
-        if self.collect_outbox:
-            self._outbox.append((now, now + delay, attempt_id,
-                                 node.node_id, cycles))
         self.engine.after(delay, self._request_delivered, state,
                           shard_index, node, attempt_id)
-
-    def drain_outbox(self) -> List[Tuple[int, int, int, int, float]]:
-        outbox, self._outbox = self._outbox, []
-        return outbox
 
     def _request_delivered(self, state, shard_index: int, node,
                            attempt_id: int) -> None:
@@ -654,12 +633,15 @@ class _ProcessShard:
     The protocol is strict request-reply per window (requests and the
     advance command flow only while the worker is idle at the barrier,
     and exactly one batch reply is collected per advance), which makes
-    pipe-buffer deadlock impossible by construction.
+    pipe-buffer deadlock impossible by construction. A broken pipe
+    means the worker died; it surfaces as a :class:`SimulationError`
+    naming the shard and the worker's exit code.
     """
 
-    def __init__(self, config: ClusterConfig, seed: int,
+    def __init__(self, index: int, config: ClusterConfig, seed: int,
                  node_ids: Sequence[int], ctx, collect_obs: bool,
                  collect_spans: bool) -> None:
+        self.index = index
         self.conn, child = ctx.Pipe()
         self.proc = ctx.Process(target=_shard_main,
                                 args=(child, config, seed, list(node_ids),
@@ -673,18 +655,37 @@ class _ProcessShard:
         self.spin_hits = 0
         self.parks = 0
 
+    def _died(self, err: Exception) -> SimulationError:
+        # the pipe only breaks when the worker is gone: reap it so the
+        # error can say how it ended
+        self.proc.join(timeout=1)
+        return SimulationError(
+            f"shard {self.index} worker (pid {self.proc.pid}) died "
+            f"mid-run with exit code {self.proc.exitcode} "
+            f"({type(err).__name__} on its pipe)")
+
+    def _send(self, msg: Tuple) -> None:
+        try:
+            self.conn.send(msg)
+        except OSError as err:  # BrokenPipeError, ConnectionResetError
+            raise self._died(err) from err
+
     def post_reqs(self, reqs: Sequence) -> None:
         if reqs:
-            self.conn.send(("reqs", reqs))
+            self._send(("reqs", reqs))
 
     def post_advance(self, until: int) -> None:
-        self.conn.send(("advance", until))
+        self._send(("advance", until))
 
     def _recv(self) -> Tuple:
-        self.waiter.wait(self.conn.poll)
-        msg = self.conn.recv()
+        try:
+            self.waiter.wait(self.conn.poll)
+            msg = self.conn.recv()
+        except (EOFError, OSError) as err:
+            raise self._died(err) from err
         if msg[0] == "error":
-            raise SimulationError(f"shard worker failed:\n{msg[1]}")
+            raise SimulationError(
+                f"shard {self.index} worker failed:\n{msg[1]}")
         return msg
 
     def recv_batch(self) -> Tuple:
@@ -694,7 +695,7 @@ class _ProcessShard:
         return msg[1:]
 
     def finish(self) -> Dict[int, Tuple]:
-        self.conn.send(("finish",))
+        self._send(("finish",))
         msg = self._recv()
         if msg[0] != "stats":  # pragma: no cover - protocol guard
             raise SimulationError(f"expected stats, got {msg[0]!r}")
@@ -735,7 +736,9 @@ def _outbound_chunks(config: ClusterConfig, seed: int,
                      distribution: Optional[ServiceDistribution],
                      horizon: int, nshards: int,
                      arrivals_per_chunk: int = _MIN_CHUNK_ARRIVALS):
-    """Replay the client's outbound draw sequence without an engine.
+    """Replay the client's outbound draw sequence without an engine
+    (sound because a sharded config routes by an
+    :data:`OUTBOUND_INDEPENDENT` policy without hedging).
 
     Yields ``(frontier, per_shard_requests)``: after a chunk is
     consumed, every request sent at or before ``frontier`` has been
@@ -809,44 +812,6 @@ def _min_slack(per_shard: Sequence[Sequence[Tuple]],
     return current
 
 
-def _run_windowed(service: ShardedClusterService, shards: Sequence,
-                  config: ClusterConfig, horizon: int) -> Dict[str, Any]:
-    """Lockstep schedule: workers first, client second, per lookahead
-    window. Correct for every configuration (including load-aware
-    routing and hedging, whose next decision may depend on state one
-    response ago)."""
-    engine = service.engine
-    lookahead = request_lookahead(config)
-    windows = 0
-    min_slack: Optional[int] = None
-    committed = 0
-    last_events = [0] * len(shards)
-    while committed < horizon:
-        target = min(horizon, committed + lookahead)
-        # workers own (committed, target]: every request that can land
-        # there was sent at or before `committed` and already shipped
-        for shard in shards:
-            shard.post_advance(target)
-        batches = [shard.recv_batch() for shard in shards]
-        for index, (rejects, resps, drops, events) in enumerate(batches):
-            service.apply_batch(rejects, resps, drops)
-            last_events[index] = events
-        engine.run(until=target)
-        outbox = service.drain_outbox()
-        if outbox:
-            per_shard: List[List[Tuple]] = [[] for _ in shards]
-            for req in outbox:
-                per_shard[req[3] % len(shards)].append(req)
-            min_slack = _min_slack(per_shard, min_slack)
-            for shard, reqs in zip(shards, per_shard):
-                shard.post_reqs(reqs)
-        committed = target
-        windows += 1
-    return {"mode": "windowed", "lookahead": lookahead,
-            "windows": windows, "min_slack": min_slack,
-            "worker_events": sum(last_events)}
-
-
 def _run_decoupled(service: ShardedClusterService, shards: Sequence,
                    config: ClusterConfig, seed: int,
                    distribution: Optional[ServiceDistribution],
@@ -857,7 +822,6 @@ def _run_decoupled(service: ShardedClusterService, shards: Sequence,
     window k+1."""
     engine = service.engine
     lookahead = request_lookahead(config)
-    service.collect_outbox = False  # the generation pass ships requests
     nshards = len(shards)
     chunks = _outbound_chunks(config, seed, distribution, horizon, nshards)
     frontier = 0
@@ -1029,8 +993,7 @@ def run_sharded(config: ClusterConfig, seed: int = 0xC0FFEE,
             fabric.set_link(proxy.name, CLIENT, spec)
     service = ShardedClusterService(
         engine, proxies, balancer, fabric, fanout=config.fanout,
-        segments=config.segments, rtt_cycles=config.rtt_cycles,
-        hedge_after=config.hedge_after)
+        segments=config.segments, rtt_cycles=config.rtt_cycles)
     drive_workload(service, config, streams, distribution)
 
     import repro.obs as obs
@@ -1052,17 +1015,12 @@ def run_sharded(config: ClusterConfig, seed: int = 0xC0FFEE,
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else None)
-        shards = [_ProcessShard(config, seed, ids, ctx, collect_obs,
-                                collect_spans)
-                  for ids in partitions]
+        shards = [_ProcessShard(index, config, seed, ids, ctx,
+                                collect_obs, collect_spans)
+                  for index, ids in enumerate(partitions)]
     try:
-        decoupled = (config.policy in OUTBOUND_INDEPENDENT
-                     and config.hedge_after is None)
-        if decoupled:
-            stats = _run_decoupled(service, shards, config, seed,
-                                   distribution, horizon)
-        else:
-            stats = _run_windowed(service, shards, config, horizon)
+        stats = _run_decoupled(service, shards, config, seed,
+                               distribution, horizon)
         finals = [shard.finish() for shard in shards]
     finally:
         for shard in shards:

@@ -41,6 +41,12 @@ DESIGNS = {d.name: d for d in (HW_THREADS, SW_THREADS, EVENT_LOOP)}
 #: Shard placement policies (see :func:`build_cluster`).
 PLACEMENTS = ("any", "same-rack")
 
+#: Routing policies that read no node state. Only these, without
+#: hedging, may run with ``shards > 1``: the outbound request sequence
+#: is then a pure function of the RNG streams, which the PDES pipeline
+#: (:mod:`repro.cluster.pdes`) generates ahead of the nodes.
+OUTBOUND_INDEPENDENT = ("random", "round-robin")
+
 
 def get_design(name: str) -> ServerDesign:
     """Look up a server design by name; actionable error on a miss."""
@@ -119,6 +125,17 @@ class ClusterConfig:
             raise ConfigError(
                 f"{self.shards} shards need at least as many nodes, "
                 f"got {self.nodes}")
+        if self.shards > 1 and (self.policy not in OUTBOUND_INDEPENDENT
+                                or self.hedge_after is not None):
+            what = (f"hedge_after={self.hedge_after}"
+                    if self.policy in OUTBOUND_INDEPENDENT
+                    else f"policy {self.policy!r}")
+            raise ConfigError(
+                f"{what} cannot run with shards={self.shards}: the next "
+                f"routing decision depends on node state, so the run "
+                f"cannot be pipelined across shard engines; use shards=1 "
+                f"(sharding supports {' or '.join(OUTBOUND_INDEPENDENT)} "
+                f"routing without hedging)")
         if self.coherence != "off":
             from repro.coherence.directory import MODEL_NAMES
             if self.coherence not in MODEL_NAMES:

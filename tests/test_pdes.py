@@ -10,6 +10,10 @@ committed past; the causality tests pin that guarantee down.
 """
 
 import json
+import multiprocessing
+import os
+import signal
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -24,10 +28,11 @@ from repro.cluster import (
     run_cluster,
     scaled,
 )
+from repro.cluster import pdes
 from repro.cluster.fabric import LinkSpec
 from repro.cluster.pdes import ShardWorker, shard_node_ids
 from repro.distributed.rpc import SW_THREADS
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 
 
 def _config(**overrides) -> ClusterConfig:
@@ -89,11 +94,9 @@ class TestByteIdentity:
     """The headline acceptance: shards=N reproduces shards=1 exactly."""
 
     @pytest.mark.parametrize("policy,hedge", [
-        ("round-robin", None),   # decoupled pipeline schedule
-        ("random", None),        # decoupled, stochastic routing
-        ("jsq", None),           # windowed: routing reads node state
-        ("round-robin", 30_000)  # windowed: hedging reads responses
-    ])
+        ("round-robin", None),   # deterministic routing
+        ("random", None),        # stochastic routing
+    ])  # hedging cannot shard (TestShardableConfigs)
     def test_matches_single_engine(self, policy, hedge):
         config = _config(policy=policy, hedge_after=hedge)
         single = run_cluster(config, seed=11)
@@ -101,21 +104,12 @@ class TestByteIdentity:
                               transport="inline")
         assert _fingerprint(sharded) == _fingerprint(single)
         assert sharded.service.pdes["shards"] == 4
-
-    def test_schedule_selection(self):
-        """State-free routing takes the decoupled pipeline; load-aware
-        routing and hedging fall back to lockstep windows."""
-        dec = run_cluster(_config(policy="round-robin", shards=2), seed=3,
-                          transport="inline")
-        win = run_cluster(_config(policy="jsq", shards=2), seed=3,
-                          transport="inline")
-        assert dec.service.pdes["mode"] == "decoupled"
-        assert win.service.pdes["mode"] == "windowed"
+        assert sharded.service.pdes["mode"] == "decoupled"
 
     def test_partition_count_is_invisible(self):
         """2, 3, and 4 shards cut the node set differently yet report
         the same run: the partition is pure bookkeeping."""
-        config = _config(policy="jsq")
+        config = _config(policy="random")
         prints = {shards: _fingerprint(
                       run_cluster(scaled(config, shards=shards), seed=5,
                                   transport="inline"))
@@ -143,6 +137,77 @@ class TestByteIdentity:
         sharded = run_cluster(scaled(config, shards=4), seed=21,
                               transport="inline")
         assert _fingerprint(sharded) == _fingerprint(single)
+
+
+# ----------------------------------------------------------------------
+class TestShardableConfigs:
+    """Sharding pipelines the client's outbound traffic ahead of the
+    nodes, which needs routing that reads no node state. Load-aware
+    policies and hedging are rejected when the config is built, before
+    any worker process starts."""
+
+    @pytest.mark.parametrize("overrides", [
+        dict(policy="jsq"),
+        dict(policy="p2c"),
+        dict(policy="round-robin", hedge_after=30_000),
+    ], ids=["jsq", "p2c", "hedged"])
+    def test_state_dependent_routing_rejected(self, overrides):
+        with pytest.raises(ConfigError, match="shards=1"):
+            _config(shards=2, **overrides)
+        assert _config(shards=1, **overrides).shards == 1
+
+    def test_cli_rejects_with_exit_code_2(self, capsys):
+        from repro.cli import main
+        assert main(["cluster", "--policy", "jsq", "--shards", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "depends on node state" in err
+        assert "shards=1" in err
+        assert "Traceback" not in err
+
+
+class TestDeadWorker:
+    @pytest.mark.parametrize("when", ["computing", "after_reply"])
+    def test_sigkilled_worker_raises_simulation_error(self, monkeypatch,
+                                                      when):
+        """SIGKILL one process-transport worker mid-run: the coordinator
+        raises a typed error naming the shard and its exit code, fast,
+        and reaps every worker. Killed while computing a window, the
+        coordinator finds out on its next read; killed after its reply
+        is buffered, on its next write."""
+        killed = []
+
+        def kill(shard):
+            os.kill(shard.proc.pid, signal.SIGKILL)
+            shard.proc.join(10)
+            killed.append(time.monotonic())
+
+        post_advance = pdes._ProcessShard.post_advance
+        recv_batch = pdes._ProcessShard.recv_batch
+
+        def advance_then_kill(shard, until):
+            post_advance(shard, until)
+            if not killed and shard.index == 1:
+                kill(shard)
+
+        def kill_then_recv(shard):
+            if not killed and shard.index == 1:
+                assert shard.conn.poll(10)  # the reply is buffered
+                kill(shard)
+            return recv_batch(shard)
+
+        if when == "computing":
+            monkeypatch.setattr(pdes._ProcessShard, "post_advance",
+                                advance_then_kill)
+        else:
+            monkeypatch.setattr(pdes._ProcessShard, "recv_batch",
+                                kill_then_recv)
+        config = ClusterConfig(nodes=32, fanout=8, requests=20_000,
+                               policy="random", shards=2)
+        with pytest.raises(SimulationError,
+                           match=r"shard 1 worker .* exit code -9"):
+            run_cluster(config, transport="process")
+        assert killed and time.monotonic() - killed[0] < 10.0
+        assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------
@@ -176,7 +241,7 @@ class TestCausality:
            shards=st.integers(min_value=2, max_value=4),
            base=st.integers(min_value=1_000, max_value=20_000),
            seed=st.integers(min_value=0, max_value=2**16),
-           policy=st.sampled_from(["round-robin", "random", "jsq"]))
+           policy=st.sampled_from(["round-robin", "random"]))
     @settings(max_examples=12, deadline=None)
     def test_no_message_beats_the_lookahead(self, nodes, shards, base,
                                             seed, policy):
@@ -232,7 +297,7 @@ class TestObsMerge:
         return sess.snapshot()
 
     def test_model_snapshot_byte_identical(self):
-        config = _config(policy="jsq", requests=24)
+        config = _config(policy="random", requests=24)
         single = self._snapshot(config)
         sharded = self._snapshot(scaled(config, shards=4))
         assert single == sharded
