@@ -25,8 +25,7 @@ def timed_cluster_run(run_fn, repeats: int = 3) -> dict:
         result = run_fn()
         elapsed = time.perf_counter() - start
         events = (result.engine.events_processed
-                  + getattr(result.service, "pdes", {}).get(
-                      "worker_events", 0))
+                  + result.service.pdes.get("worker_events", 0))
         if best is None or elapsed < best[0]:
             best = (elapsed, events)
     seconds, events = best

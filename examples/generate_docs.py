@@ -503,9 +503,12 @@ def cluster_markdown() -> str:
         "(`node_id % N`, the same striping racks use) and runs them as",
         "a conservative parallel discrete-event simulation",
         "(`repro.cluster.pdes`). The client -- balancer, fabric,",
-        "front-end, workload -- stays on the coordinator engine and",
-        "talks to per-node proxies; requests cross to workers as",
-        "timestamped messages over pipes.",
+        "front-end, workload -- stays on the coordinator engine. It is",
+        "the stock single-engine `ClusterService` and `Fabric`, wired",
+        "by the same function as `build_cluster`, over per-node",
+        "proxies; requests cross to workers as timestamped messages",
+        "over pipes, and workers send back only each attempt's",
+        "admission verdict and finish time.",
         "",
         "Safety comes from *lookahead*: every client->node message",
         "pays at least the minimum link base latency on the wire",
@@ -524,12 +527,14 @@ def cluster_markdown() -> str:
         "`shards > 1` they raise a `ConfigError` when the config is",
         "built, before any worker starts. Run them with `shards=1`.",
         "",
-        "Sharding is *invisible in the results*: every shard replays",
-        "exactly the RNG draws its nodes and links would have made on",
-        "the shared engine (per-directed-link streams), so the",
-        "summary, the latency quantiles, and the obs snapshot are",
-        "byte-identical to `shards=1` -- `tests/test_pdes.py` pins",
-        "this down, and a mirror cross-check audits every run. Worker",
+        "Sharding is *invisible in the results*: every wire draw, in",
+        "both directions, happens on the client's fabric from the",
+        "same per-directed-link streams and in the same per-link",
+        "order as on the shared engine, and workers draw only what",
+        "their nodes draw internally. So the summary, the latency",
+        "quantiles, and the obs snapshot are byte-identical to",
+        "`shards=1` -- `tests/test_pdes.py` and CI pin this down, and",
+        "a mirror cross-check audits every run. Worker",
         "transports: `process` (real worker processes, the default)",
         "and `inline` (same-process debug mode). `run_sharded` reports",
         "the protocol audit in `result.service.pdes` (mode, windows,",

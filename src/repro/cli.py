@@ -27,6 +27,58 @@ from typing import List, Optional
 from repro._version import __version__
 
 
+def _cluster_options() -> argparse.ArgumentParser:
+    """The options ``cluster`` and ``trace`` share, as an argparse
+    parent. Built fresh per verb: parents share their action objects,
+    so one verb's ``set_defaults`` would otherwise leak into the other."""
+    options = argparse.ArgumentParser(add_help=False)
+    options.add_argument("--nodes", type=int, default=8)
+    options.add_argument("--design", default="hw-threads",
+                         help="hw-threads | sw-threads | event-loop "
+                              "(cluster also takes 'all' to compare the "
+                              "three)")
+    options.add_argument("--backend", default="model",
+                         help="server backend per node: 'model' "
+                              "(behavioral RpcServerModel) or 'isa' "
+                              "(full ISA-level machine)")
+    options.add_argument("--policy", default="round-robin",
+                         help="random | round-robin | jsq | p2c")
+    options.add_argument("--fanout", type=int, default=1,
+                         help="shards per request (response = slowest)")
+    options.add_argument("--load", type=float, default=0.6,
+                         help="offered load per node of the base service")
+    options.add_argument("--requests", type=int, default=500)
+    options.add_argument("--queue-limit", type=int, default=None,
+                         help="per-node admission limit (default: none)")
+    options.add_argument("--hedge-after", type=int, default=None,
+                         metavar="CYCLES",
+                         help="send a hedged shard after this many cycles")
+    options.add_argument("--shards", type=int, default=1,
+                         help="partition the run over N engine shards "
+                              "(conservative PDES; byte-identical output; "
+                              "N > 1 needs random or round-robin routing "
+                              "without --hedge-after)")
+    options.add_argument("--shard-transport", default="process",
+                         choices=("process", "inline"),
+                         help="shard workers as processes (parallel) or "
+                              "inline (debug)")
+    options.add_argument("--seed", type=lambda v: int(v, 0),
+                         default=0xC0FFEE)
+    return options
+
+
+def _cluster_config(args, design: str, **extra):
+    """The :class:`~repro.cluster.run.ClusterConfig` the shared cluster
+    options describe, for one server design."""
+    from repro.cluster import ClusterConfig, get_design
+
+    return ClusterConfig(
+        nodes=args.nodes, design=get_design(design), policy=args.policy,
+        fanout=args.fanout, load=args.load, requests=args.requests,
+        queue_limit=args.queue_limit, hedge_after=args.hedge_after,
+        backend=args.backend, shards=args.shards, **extra)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -81,42 +133,11 @@ def _build_parser() -> argparse.ArgumentParser:
                                "trace per experiment)")
 
     cluster = sub.add_parser(
-        "cluster",
+        "cluster", parents=[_cluster_options()],
         help="simulate a multi-machine cluster (load balancing, "
              "fan-out, hedged requests)")
-    cluster.add_argument("--nodes", type=int, default=8)
-    cluster.add_argument("--design", default="hw-threads",
-                         help="hw-threads | sw-threads | event-loop, "
-                              "or 'all' to compare the three")
-    cluster.add_argument("--backend", default="model",
-                         help="server backend per node: 'model' "
-                              "(behavioral RpcServerModel) or 'isa' "
-                              "(full ISA-level machine)")
-    cluster.add_argument("--policy", default="round-robin",
-                         help="random | round-robin | jsq | p2c")
-    cluster.add_argument("--fanout", type=int, default=1,
-                         help="shards per request (response = slowest)")
-    cluster.add_argument("--load", type=float, default=0.6,
-                         help="offered load per node of the base service")
-    cluster.add_argument("--requests", type=int, default=500)
-    cluster.add_argument("--queue-limit", type=int, default=None,
-                         help="per-node admission limit (default: none)")
-    cluster.add_argument("--hedge-after", type=int, default=None,
-                         metavar="CYCLES",
-                         help="send a hedged shard after this many cycles")
-    cluster.add_argument("--shards", type=int, default=1,
-                         help="partition the run over N engine shards "
-                              "(conservative PDES; byte-identical output; "
-                              "N > 1 needs random or round-robin routing "
-                              "without --hedge-after)")
-    cluster.add_argument("--shard-transport", default="process",
-                         choices=("process", "inline"),
-                         help="shard workers as processes (parallel) or "
-                              "inline (debug)")
     cluster.add_argument("--drop-prob", type=float, default=0.0,
                          help="per-message link drop probability")
-    cluster.add_argument("--seed", type=lambda v: int(v, 0),
-                         default=0xC0FFEE)
     cluster.add_argument("--json", action="store_true", dest="as_json")
     cluster.add_argument("--trace", metavar="FILE", default=None,
                          dest="trace_path",
@@ -131,33 +152,12 @@ def _build_parser() -> argparse.ArgumentParser:
                               "trace-event JSON")
 
     trace = sub.add_parser(
-        "trace",
+        "trace", parents=[_cluster_options()],
         help="run one traced cluster and pretty-print the slowest "
              "requests' span trees (critical-path decomposition)")
+    trace.set_defaults(design="sw-threads")
     trace.add_argument("--top", type=int, default=5, metavar="K",
                        help="render the K slowest requests (default 5)")
-    trace.add_argument("--nodes", type=int, default=8)
-    trace.add_argument("--design", default="sw-threads",
-                       help="hw-threads | sw-threads | event-loop")
-    trace.add_argument("--backend", default="model",
-                       help="'model' or 'isa'")
-    trace.add_argument("--policy", default="round-robin",
-                       help="random | round-robin | jsq | p2c")
-    trace.add_argument("--fanout", type=int, default=1)
-    trace.add_argument("--load", type=float, default=0.6)
-    trace.add_argument("--requests", type=int, default=500)
-    trace.add_argument("--queue-limit", type=int, default=None)
-    trace.add_argument("--hedge-after", type=int, default=None,
-                       metavar="CYCLES")
-    trace.add_argument("--shards", type=int, default=1,
-                       help="partition the run over N engine shards "
-                            "(byte-identical spans; N > 1 needs random "
-                            "or round-robin routing without "
-                            "--hedge-after)")
-    trace.add_argument("--shard-transport", default="process",
-                       choices=("process", "inline"))
-    trace.add_argument("--seed", type=lambda v: int(v, 0),
-                       default=0xC0FFEE)
     trace.add_argument("--json", action="store_true", dest="as_json",
                        help="emit the full span payload as JSON instead "
                             "of rendered trees")
@@ -373,13 +373,7 @@ def _cmd_cluster(args) -> int:
 
     import repro.obs.spans as spans
     from repro.analysis.tables import Table
-    from repro.cluster import (
-        DESIGNS,
-        ClusterConfig,
-        LinkSpec,
-        get_design,
-        run_cluster,
-    )
+    from repro.cluster import DESIGNS, LinkSpec, run_cluster
     from repro.errors import ReproError
 
     names = (list(DESIGNS) if args.design == "all"
@@ -388,13 +382,8 @@ def _cmd_cluster(args) -> int:
     span_trees = []
     try:
         for name in names:
-            config = ClusterConfig(
-                nodes=args.nodes, design=get_design(name),
-                policy=args.policy, fanout=args.fanout, load=args.load,
-                requests=args.requests, queue_limit=args.queue_limit,
-                hedge_after=args.hedge_after,
-                link=LinkSpec(drop_prob=args.drop_prob),
-                backend=args.backend, shards=args.shards)
+            config = _cluster_config(
+                args, name, link=LinkSpec(drop_prob=args.drop_prob))
             tracing = (spans.tracing() if args.span_trace_path
                        else nullcontext(None))
             with tracing as store:
@@ -456,7 +445,7 @@ def _cmd_trace(args) -> int:
     import json
 
     import repro.obs.spans as spans
-    from repro.cluster import ClusterConfig, get_design, run_cluster
+    from repro.cluster import run_cluster
     from repro.errors import ReproError
 
     if args.top < 1:
@@ -464,12 +453,7 @@ def _cmd_trace(args) -> int:
               file=sys.stderr)
         return 2
     try:
-        config = ClusterConfig(
-            nodes=args.nodes, design=get_design(args.design),
-            policy=args.policy, fanout=args.fanout, load=args.load,
-            requests=args.requests, queue_limit=args.queue_limit,
-            hedge_after=args.hedge_after, backend=args.backend,
-            shards=args.shards)
+        config = _cluster_config(args, args.design)
         with spans.tracing(top_k=args.top) as store:
             run_cluster(config, seed=args.seed,
                         transport=args.shard_transport)

@@ -22,8 +22,8 @@ Two wiring styles exist:
   its own named stream. Per-link streams make the draw sequence of a
   link depend only on the traffic crossing *that* link -- the property
   the parallel-in-time sharded runtime (:mod:`repro.cluster.pdes`)
-  needs so a worker process can reproduce its links' draws without
-  seeing any other shard's traffic.
+  needs so its engine-less generation pass can replay the request
+  links' draws ahead of the client, without the response traffic.
 """
 
 from __future__ import annotations
@@ -135,8 +135,8 @@ class Fabric:
     def send_traced(self, src: str, dst: str,
                     fn: Callable[..., Any], *args: Any) -> Optional[int]:
         """Like :meth:`send`, but returns the absolute delivery time
-        (``None`` when dropped) -- the sharded runtime needs the
-        timestamp to ship the message cross-process."""
+        (``None`` when dropped), for callers that need to know when
+        the message lands (the coherence layer's remote mailbox)."""
         self.sent += 1
         spec = self.link_for(src, dst)
         rng = self.rng_for(src, dst)

@@ -41,17 +41,25 @@ and idle ones never burn a core.
 
 Determinism
 -----------
-Every random draw comes from the same named streams as the
-single-engine run -- per-directed-link fabric streams, the balancer
-stream, the arrival and service-time streams -- and attempt ids are
-assigned client-side at launch, so a sharded run consumes *exactly*
-the draws of the single-engine run, in the same per-stream order. The
-summary is byte-identical to ``shards=1`` (asserted by tests at small
-scale and by the mirror cross-check on every run). The one caveat:
-when two events collide on the *same cycle* of one shard engine, the
-dispatch tie-break is insertion order, which a partitioned run cannot
-always reproduce; injection is staged at the original send time to
-make the insertion order match in all but pathological collisions.
+The client runs the stock single-engine front-end: a plain
+:class:`~repro.cluster.service.ClusterService` and
+:class:`~repro.cluster.fabric.Fabric`, wired by the same function as
+:func:`~repro.cluster.run.build_cluster`, over proxy nodes. Every
+random draw therefore happens on the client, from the same named
+streams and in the same per-stream order as the single-engine run:
+the balancer, arrival and service-time streams, and both directions of
+every per-link wire stream. A worker draws only what its nodes draw
+internally; it reports each attempt's admission verdict and finish
+time, nothing else. Attempt ids are assigned client-side at launch, so
+both sides name attempts identically. The summary is byte-identical
+to ``shards=1`` (asserted by tests and CI, and by the mirror
+cross-check on every run). The caveat is same-cycle ties, which an
+engine breaks by insertion order. On a shard engine, injection is
+staged at the original send time to make the insertion order match in
+all but pathological collisions. On the client, a node's finish and a
+delivery to that node in the same cycle may replay in the other
+order; verdicts and draws do not depend on it, but the node's obs
+busy/idle track can then split one busy span in two.
 """
 
 from __future__ import annotations
@@ -62,23 +70,24 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.costs import CostModel
 from repro.cluster.balancer import LoadBalancer
-from repro.cluster.fabric import Fabric
 from repro.cluster.node import ClusterNode
 from repro.cluster.service import CLIENT, ClusterService
 from repro.cluster.run import (
     OUTBOUND_INDEPENDENT,
     ClusterConfig,
     ClusterRunResult,
+    build_node,
     drive_workload,
+    eligible_nodes,
     node_link_spec,
     request_lookahead,
     summarize_run,
+    wire_front_end,
 )
 from repro.errors import ConfigError, SimulationError
 from repro.obs.timeline import ThreadState
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
-from repro.sim.trace import Tracer
 from repro.workloads.arrivals import PoissonArrivals
 from repro.workloads.service import Exponential, ServiceDistribution
 
@@ -109,29 +118,37 @@ def shard_node_ids(nodes: int, shards: int) -> List[List[int]]:
 
 
 # ----------------------------------------------------------------------
-# client side: proxy nodes and the sharded front-end
+# client side: proxy nodes
 # ----------------------------------------------------------------------
 class _ProxyNode:
     """Client-side stand-in for a remote node.
 
-    Mirrors the counters the front-end, conservation audit, tracer
-    merge, and obs snapshot read -- updated at the exact timestamps
-    the remote events carry, so busy/idle timelines equal the
-    single-engine run. The balancer never reads them: sharded runs
-    route without node state. ``busy_cycles`` is folded in from the
-    worker's final stats at the end of the run.
+    Speaks :class:`ClusterNode`'s ``offer`` protocol, so the stock
+    front-end and fabric drive it and make every wire draw themselves.
+    The admission verdict comes from the worker: an attempt whose id is
+    in ``rejected_ids`` is shed, any other is admitted and its
+    ``on_done`` held until :meth:`remote_finished` replays the worker's
+    finish at its exact timestamp. The counters the conservation audit
+    and obs snapshot read move at those timestamps, so busy/idle
+    timelines follow the single-engine run (up to the same-cycle caveat
+    in the module docstring). The balancer never reads
+    them: sharded runs route without node state. ``busy_cycles`` is
+    folded in from the worker's final stats at the end of the run.
     """
 
     def __init__(self, engine: Engine, node_id: int, design) -> None:
         self.engine = engine
         self.node_id = node_id
         self.name = f"node{node_id}"
-        self.tracer = Tracer(engine)
         self.admitted = 0
         self.completed = 0
         self.rejected = 0
         self._in_flight = 0
         self._busy_cycles = 0
+        #: attempt ids the worker shed at admission, consulted at
+        #: delivery time (the worker has committed it by then)
+        self.rejected_ids: set = set()
+        self._on_done: Dict[int, Optional[Callable[[], None]]] = {}
         self._obs_timeline = None
         self._obs_track = 0
         import repro.obs as obs
@@ -152,28 +169,38 @@ class _ProxyNode:
     def conserved(self) -> bool:
         return self.admitted == self.completed + self._in_flight
 
-    # mirrors of ClusterNode.offer / ClusterNode._finished bookkeeping
-    def mirror_admit(self) -> None:
+    def offer(self, request_id: int, segment_cycles: Sequence[float],
+              rtt_cycles: int,
+              on_done: Optional[Callable[[], None]] = None) -> bool:
+        if request_id in self.rejected_ids:
+            self.rejected_ids.remove(request_id)
+            self.rejected += 1
+            return False
         self.admitted += 1
         self._in_flight += 1
-        self.tracer.count("cluster node admitted")
         if self._obs_timeline is not None and self._in_flight == 1:
             self._obs_timeline.transition(self._obs_track, 0,
                                           ThreadState.RUNNING,
                                           self.engine.now)
+        self._on_done[request_id] = on_done
+        return True
 
-    def mirror_finish(self) -> None:
+    def remote_finished(self, attempt_id: int) -> None:
+        """The worker's node finished ``attempt_id`` now."""
+        try:
+            on_done = self._on_done.pop(attempt_id)
+        except KeyError:
+            raise SimulationError(
+                f"shard protocol error: worker finished attempt "
+                f"{attempt_id} the client never launched") from None
         self._in_flight -= 1
         self.completed += 1
-        self.tracer.count("cluster node completed")
         if self._obs_timeline is not None and self._in_flight == 0:
             self._obs_timeline.transition(self._obs_track, 0,
                                           ThreadState.MWAIT,
                                           self.engine.now)
-
-    def mirror_reject(self) -> None:
-        self.rejected += 1
-        self.tracer.count("cluster node rejected")
+        if on_done is not None:
+            on_done()
 
     def _fill_metrics(self, registry, prefix: str) -> None:
         registry.inc(f"{prefix}.admitted", self.admitted)
@@ -184,123 +211,6 @@ class _ProxyNode:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<_ProxyNode {self.name} in_flight={self._in_flight}>"
-
-
-class ShardedClusterService(ClusterService):
-    """The cluster front-end over proxy nodes.
-
-    Keeps every accounting rule of :class:`ClusterService` -- the
-    request-wire draws happen client-side on the same per-link streams
-    and the fabric counters mirror both message legs -- but the node
-    work itself happens in shard workers whose rejections and
-    responses are injected back as timestamped events.
-    """
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        #: attempt id -> (request state, shard index, proxy node)
-        self._attempts: Dict[int, Tuple[Any, int, _ProxyNode]] = {}
-        #: attempt ids the workers rejected, consulted at delivery time
-        self._remote_rejected: set = set()
-        #: protocol diagnostics (windows, lookahead, slack, waiter
-        #: stats), filled by the coordinator
-        self.pdes: Dict[str, Any] = {}
-
-    # -- outbound: the transport seam -------------------------------
-    def _send_request(self, state, shard_index: int, cycles: float,
-                      node, attempt_id: int) -> None:
-        # same counters and same per-link draw order as Fabric.send,
-        # but delivery is a local accounting event: the generation pass
-        # (_outbound_chunks) already shipped the request itself
-        fabric = self.fabric
-        spec = fabric.link_for(CLIENT, node.name)
-        rng = fabric.rng_for(CLIENT, node.name)
-        fabric.sent += 1
-        if spec.drop_prob > 0.0 and rng.random() < spec.drop_prob:
-            fabric.dropped += 1
-            self.request_wire_drops += 1
-            if self._spans is not None:
-                self._spans.attempt_request_dropped(attempt_id)
-            self._attempt_failed(state, shard_index)
-            return
-        delay = spec.sample_delay(rng)
-        fabric.latency_cycles += delay
-        fabric.in_flight += 1
-        self.requests_on_wire += 1
-        self._attempts[attempt_id] = (state, shard_index, node)
-        self.engine.after(delay, self._request_delivered, state,
-                          shard_index, node, attempt_id)
-
-    def _request_delivered(self, state, shard_index: int, node,
-                           attempt_id: int) -> None:
-        # the client-side image of fabric._deliver + _arrive: by the
-        # conservative schedule the worker has already committed this
-        # timestamp, so its admission verdict is in _remote_rejected
-        fabric = self.fabric
-        fabric.in_flight -= 1
-        fabric.delivered += 1
-        self.requests_on_wire -= 1
-        if attempt_id in self._remote_rejected:
-            self._remote_rejected.discard(attempt_id)
-            del self._attempts[attempt_id]
-            node.mirror_reject()
-            self.rejected += 1
-            self._attempt_failed(state, shard_index)
-        else:
-            node.mirror_admit()
-
-    # -- inbound: worker batches ------------------------------------
-    def apply_batch(self, rejects: Sequence[Tuple[int, int]],
-                    resps: Sequence[Tuple[int, int, int]],
-                    drops: Sequence[Tuple[int, int]]) -> None:
-        """Inject one worker window's outputs (must be called before
-        the client replays past their timestamps)."""
-        engine = self.engine
-        for _ts, attempt_id in rejects:
-            self._remote_rejected.add(attempt_id)
-        for ts, attempt_id, delay in resps:
-            engine.at(ts, self._remote_finished, attempt_id, delay)
-        for ts, attempt_id in drops:
-            engine.at(ts, self._remote_finished_dropped, attempt_id)
-
-    def _pop_attempt(self, attempt_id: int):
-        try:
-            return self._attempts.pop(attempt_id)
-        except KeyError:
-            raise SimulationError(
-                f"shard protocol error: worker finished attempt "
-                f"{attempt_id} the client never launched") from None
-
-    def _remote_finished(self, attempt_id: int, delay: int) -> None:
-        # node finish at this timestamp, then the response-wire leg,
-        # with the delay the worker drew from the node->client stream
-        state, shard_index, node = self._pop_attempt(attempt_id)
-        node.mirror_finish()
-        fabric = self.fabric
-        fabric.sent += 1
-        fabric.latency_cycles += delay
-        fabric.in_flight += 1
-        self.responses_on_wire += 1
-        self.engine.after(delay, self._remote_response, state, shard_index,
-                          attempt_id)
-
-    def _remote_response(self, state, shard_index: int,
-                         attempt_id: int) -> None:
-        fabric = self.fabric
-        fabric.in_flight -= 1
-        fabric.delivered += 1
-        self._response(state, shard_index, attempt_id)
-
-    def _remote_finished_dropped(self, attempt_id: int) -> None:
-        state, shard_index, node = self._pop_attempt(attempt_id)
-        node.mirror_finish()
-        fabric = self.fabric
-        fabric.sent += 1
-        fabric.dropped += 1
-        self.response_wire_drops += 1
-        if self._spans is not None:
-            self._spans.attempt_response_dropped(attempt_id)
-        self._attempt_failed(state, shard_index)
 
 
 @contextmanager
@@ -334,22 +244,17 @@ def _obs_redirected(session):
 class ShardWorker:
     """One shard: its nodes on a private engine, plus the conservative
     protocol edge (causality-checked injection, bounded advances,
-    batched outputs)."""
+    batched outputs). It sends home admission verdicts and finish
+    times only; the client's fabric carries every message."""
 
-    def __init__(self, config: ClusterConfig, seed: int,
-                 node_ids: Sequence[int],
+    def __init__(self, config: ClusterConfig, node_ids: Sequence[int],
                  collect_obs: bool = False,
                  collect_spans: bool = False) -> None:
         self.engine = Engine()
         costs = CostModel()
-        label = config.workload_label()
-        streams = RngStreams(seed)
-        resident = (config.threads_per_peer * config.nodes
-                    if config.threads_per_peer > 0 else None)
         self.segments = config.segments
         self.rtt_cycles = config.rtt_cycles
         self.nodes: Dict[int, ClusterNode] = {}
-        self._response_links: Dict[int, Tuple[Any, Any]] = {}
         # node internals (queueing servers, ISA machines) register with
         # a worker-local session when the coordinator is collecting;
         # per-node marks let export_obs ship them back per node so the
@@ -368,25 +273,15 @@ class ShardWorker:
                 spans._redirected(self.span_store):
             for node_id in node_ids:
                 self._obs_marks.append(self._obs_mark())
-                node = ClusterNode(self.engine, node_id, config.design,
-                                   costs,
-                                   cores=config.cores_per_node,
-                                   queue_limit=config.queue_limit,
-                                   resident_threads=resident,
-                                   backend=config.backend,
-                                   register_obs=False,
-                                   coherence=(None
-                                              if config.coherence == "off"
-                                              else config.coherence))
-                self.nodes[node_id] = node
-                self._response_links[node_id] = (
-                    node_link_spec(config, node_id),
-                    streams.stream(f"{label}.net.{node.name}->client"))
+                self.nodes[node_id] = build_node(config, self.engine,
+                                                 node_id, costs,
+                                                 register_obs=False)
             self._obs_marks.append(self._obs_mark())
         self._committed = 0
+        #: this window's (node_id, attempt_id) admission rejections and
+        #: (finish time, node_id, attempt_id) completions
         self._rejects: List[Tuple[int, int]] = []
-        self._resps: List[Tuple[int, int, int]] = []
-        self._drops: List[Tuple[int, int]] = []
+        self._finishes: List[Tuple[int, int, int]] = []
 
     # -- protocol edge ----------------------------------------------
     def inject(self,
@@ -412,18 +307,18 @@ class ShardWorker:
                 engine.at(deliver_ts, self._deliver, attempt_id, node,
                           cycles)
 
-    def advance(self, until: int) -> Tuple[List, List, List, int]:
+    def advance(self, until: int) -> Tuple[List, List, int]:
         """Run through ``until`` (inclusive) and return this window's
-        (rejects, responses, response_drops, total events processed)."""
+        (rejects, finishes, total events processed)."""
         if until < self._committed:
             raise CausalityError(
                 f"cannot advance to t={until}: already committed "
                 f"t={self._committed}")
         self.engine.run(until=until)
         self._committed = until
-        batch = (self._rejects, self._resps, self._drops,
+        batch = (self._rejects, self._finishes,
                  self.engine.events_processed)
-        self._rejects, self._resps, self._drops = [], [], []
+        self._rejects, self._finishes = [], []
         return batch
 
     def final_stats(self) -> Dict[int, Tuple[int, int, int, int, int]]:
@@ -503,17 +398,10 @@ class ShardWorker:
             attempt_id, per_segment, self.rtt_cycles,
             on_done=lambda: self._finished(attempt_id, node))
         if not accepted:
-            self._rejects.append((self.engine.now, attempt_id))
+            self._rejects.append((node.node_id, attempt_id))
 
     def _finished(self, attempt_id: int, node: ClusterNode) -> None:
-        # the node->client wire draws happen worker-side on the same
-        # per-link stream the single-engine fabric would use
-        spec, rng = self._response_links[node.node_id]
-        now = self.engine.now
-        if spec.drop_prob > 0.0 and rng.random() < spec.drop_prob:
-            self._drops.append((now, attempt_id))
-        else:
-            self._resps.append((now, attempt_id, spec.sample_delay(rng)))
+        self._finishes.append((self.engine.now, node.node_id, attempt_id))
 
 
 # ----------------------------------------------------------------------
@@ -555,10 +443,9 @@ class _InlineShard:
     determinism-test mode, and the reference the process transport
     must match byte for byte."""
 
-    def __init__(self, config: ClusterConfig, seed: int,
-                 node_ids: Sequence[int], collect_obs: bool,
-                 collect_spans: bool) -> None:
-        self.worker = ShardWorker(config, seed, node_ids,
+    def __init__(self, config: ClusterConfig, node_ids: Sequence[int],
+                 collect_obs: bool, collect_spans: bool) -> None:
+        self.worker = ShardWorker(config, node_ids,
                                   collect_obs=collect_obs,
                                   collect_spans=collect_spans)
         self._batch: Optional[Tuple] = None
@@ -587,12 +474,11 @@ class _InlineShard:
         pass
 
 
-def _shard_main(conn, config: ClusterConfig, seed: int,
-                node_ids: Sequence[int], collect_obs: bool,
-                collect_spans: bool) -> None:
+def _shard_main(conn, config: ClusterConfig, node_ids: Sequence[int],
+                collect_obs: bool, collect_spans: bool) -> None:
     """Worker-process entry point: a command loop over the pipe."""
     try:
-        worker = ShardWorker(config, seed, node_ids,
+        worker = ShardWorker(config, node_ids,
                              collect_obs=collect_obs,
                              collect_spans=collect_spans)
         waiter = SpinParkWaiter()
@@ -638,13 +524,13 @@ class _ProcessShard:
     naming the shard and the worker's exit code.
     """
 
-    def __init__(self, index: int, config: ClusterConfig, seed: int,
+    def __init__(self, index: int, config: ClusterConfig,
                  node_ids: Sequence[int], ctx, collect_obs: bool,
                  collect_spans: bool) -> None:
         self.index = index
         self.conn, child = ctx.Pipe()
         self.proc = ctx.Process(target=_shard_main,
-                                args=(child, config, seed, list(node_ids),
+                                args=(child, config, list(node_ids),
                                       collect_obs, collect_spans),
                                 daemon=True)
         self.proc.start()
@@ -751,11 +637,7 @@ def _outbound_chunks(config: ClusterConfig, seed: int,
     label = config.workload_label()
     streams = RngStreams(seed)
     stubs = [_NodeStub(node_id) for node_id in range(config.nodes)]
-    if config.placement == "same-rack":
-        eligible = [s for s in stubs if s.node_id % config.racks == 0]
-    else:
-        eligible = stubs
-    balancer = LoadBalancer(eligible, config.policy,
+    balancer = LoadBalancer(eligible_nodes(config, stubs), config.policy,
                             rng=streams.stream(f"{label}.lb"))
     specs = {}
     rngs = {}
@@ -812,7 +694,7 @@ def _min_slack(per_shard: Sequence[Sequence[Tuple]],
     return current
 
 
-def _run_decoupled(service: ShardedClusterService, shards: Sequence,
+def _run_decoupled(service: ClusterService, shards: Sequence,
                    config: ClusterConfig, seed: int,
                    distribution: Optional[ServiceDistribution],
                    horizon: int) -> Dict[str, Any]:
@@ -821,6 +703,7 @@ def _run_decoupled(service: ShardedClusterService, shards: Sequence,
     windows, and the client replays window k while the workers compute
     window k+1."""
     engine = service.engine
+    proxies = service.nodes
     lookahead = request_lookahead(config)
     nshards = len(shards)
     chunks = _outbound_chunks(config, seed, distribution, horizon, nshards)
@@ -855,8 +738,13 @@ def _run_decoupled(service: ShardedClusterService, shards: Sequence,
     while True:
         batches = [shard.recv_batch() for shard in shards]
         deltas = []
-        for i, (rejects, resps, drops, events) in enumerate(batches):
-            service.apply_batch(rejects, resps, drops)
+        for i, (rejects, finishes, events) in enumerate(batches):
+            # inject the window's verdicts before the client replays
+            # past their timestamps
+            for node_id, attempt_id in rejects:
+                proxies[node_id].rejected_ids.add(attempt_id)
+            for ts, node_id, attempt_id in finishes:
+                engine.at(ts, proxies[node_id].remote_finished, attempt_id)
             deltas.append(events - last_events[i])
             last_events[i] = events
         finished = target
@@ -882,8 +770,7 @@ def _run_decoupled(service: ShardedClusterService, shards: Sequence,
             "worker_events": sum(last_events)}
 
 
-def _fold_final_stats(service: ShardedClusterService,
-                      proxies: Sequence[_ProxyNode],
+def _fold_final_stats(proxies: Sequence[_ProxyNode],
                       finals: Sequence[Dict[int, Tuple]]) -> None:
     """Cross-check every proxy mirror against the worker's ground truth
     and fold in the one quantity only the worker knows (busy cycles)."""
@@ -971,29 +858,9 @@ def run_sharded(config: ClusterConfig, seed: int = 0xC0FFEE,
 
     streams = RngStreams(seed)
     engine = Engine()
-    label = config.workload_label()
     proxies = [_ProxyNode(engine, node_id, config.design)
                for node_id in range(config.nodes)]
-    if config.placement == "same-rack":
-        eligible = [p for p in proxies if p.node_id % config.racks == 0]
-    else:
-        eligible = proxies
-    balancer = LoadBalancer(eligible, config.policy,
-                            rng=streams.stream(f"{label}.lb"),
-                            probe_delay_cycles=config.probe_delay_cycles,
-                            engine=engine)
-    fabric = Fabric(
-        engine,
-        stream_factory=lambda link: streams.stream(f"{label}.net.{link}"),
-        default_link=config.link)
-    for proxy in proxies:
-        spec = node_link_spec(config, proxy.node_id)
-        if spec is not config.link:
-            fabric.set_link(CLIENT, proxy.name, spec)
-            fabric.set_link(proxy.name, CLIENT, spec)
-    service = ShardedClusterService(
-        engine, proxies, balancer, fabric, fanout=config.fanout,
-        segments=config.segments, rtt_cycles=config.rtt_cycles)
+    service = wire_front_end(config, streams, engine, proxies)
     drive_workload(service, config, streams, distribution)
 
     import repro.obs as obs
@@ -1008,14 +875,14 @@ def run_sharded(config: ClusterConfig, seed: int = 0xC0FFEE,
         # not fork children; inline shards produce the same bytes
         transport = "inline"
     if transport == "inline":
-        shards: List[Any] = [_InlineShard(config, seed, ids, collect_obs,
+        shards: List[Any] = [_InlineShard(config, ids, collect_obs,
                                           collect_spans)
                              for ids in partitions]
     else:
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else None)
-        shards = [_ProcessShard(index, config, seed, ids, ctx,
+        shards = [_ProcessShard(index, config, ids, ctx,
                                 collect_obs, collect_spans)
                   for index, ids in enumerate(partitions)]
     try:
@@ -1025,7 +892,7 @@ def run_sharded(config: ClusterConfig, seed: int = 0xC0FFEE,
     finally:
         for shard in shards:
             shard.stop()
-    _fold_final_stats(service, proxies, finals)
+    _fold_final_stats(proxies, finals)
     if collect_obs:
         _merge_worker_obs(session, [shard.obs_payload for shard in shards])
     if collect_spans:

@@ -15,7 +15,7 @@ process -- the property the parallel evaluation runner relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Sequence
 
 from repro.arch.costs import CostModel
 from repro.backends import backend_names
@@ -224,38 +224,46 @@ def request_lookahead(config: ClusterConfig) -> int:
                for node_id in range(config.nodes))
 
 
-def build_cluster(config: ClusterConfig, streams: RngStreams,
-                  engine: Optional[Engine] = None,
-                  costs: Optional[CostModel] = None) -> ClusterService:
-    """Assemble nodes + balancer + fabric + front-end on one engine."""
-    engine = engine or Engine()
-    costs = costs or CostModel()
-    label = config.workload_label()
+def build_node(config: ClusterConfig, engine: Engine, node_id: int,
+               costs: CostModel, register_obs: bool = True) -> ClusterNode:
+    """One server node of ``config`` on ``engine`` (the single-engine
+    run and the PDES shard workers both build their nodes here)."""
     # fan-in scales with the cluster: every peer keeps
     # threads_per_peer worker connections resident on each node
     resident = (config.threads_per_peer * config.nodes
                 if config.threads_per_peer > 0 else None)
-    coherence = None if config.coherence == "off" else config.coherence
-    nodes = [ClusterNode(engine, node_id, config.design, costs,
-                         cores=config.cores_per_node,
-                         queue_limit=config.queue_limit,
-                         resident_threads=resident,
-                         backend=config.backend,
-                         coherence=coherence)
-             for node_id in range(config.nodes)]
-    # "same-rack" placement keeps shards in the client's rack (rack 0,
-    # node_id % racks == 0); "any" spreads over the whole cluster
+    return ClusterNode(engine, node_id, config.design, costs,
+                       cores=config.cores_per_node,
+                       queue_limit=config.queue_limit,
+                       resident_threads=resident,
+                       backend=config.backend,
+                       register_obs=register_obs,
+                       coherence=(None if config.coherence == "off"
+                                  else config.coherence))
+
+
+def eligible_nodes(config: ClusterConfig, nodes: Sequence) -> Sequence:
+    """The nodes the balancer may place shards on: "same-rack" keeps
+    them in the client's rack (rack 0, ``node_id % racks == 0``),
+    "any" spreads over the whole cluster."""
     if config.placement == "same-rack":
-        eligible = [n for n in nodes if n.node_id % config.racks == 0]
-    else:
-        eligible = nodes
-    balancer = LoadBalancer(eligible, config.policy,
+        return [n for n in nodes if n.node_id % config.racks == 0]
+    return nodes
+
+
+def wire_front_end(config: ClusterConfig, streams: RngStreams,
+                   engine: Engine, nodes: Sequence) -> ClusterService:
+    """Balancer + fabric + front-end over ``nodes``: real
+    :class:`ClusterNode` objects, or the PDES client's proxies for
+    nodes that live in shard workers."""
+    label = config.workload_label()
+    balancer = LoadBalancer(eligible_nodes(config, nodes), config.policy,
                             rng=streams.stream(f"{label}.lb"),
                             probe_delay_cycles=config.probe_delay_cycles,
                             engine=engine)
     # per-directed-link streams: a link's draw sequence depends only on
-    # the traffic crossing that link, which is what lets a PDES shard
-    # worker reproduce its own links without seeing the others
+    # the traffic crossing that link, which is what lets the PDES
+    # generation pass replay the request links ahead of the client
     fabric = Fabric(
         engine,
         stream_factory=lambda link: streams.stream(f"{label}.net.{link}"),
@@ -269,6 +277,17 @@ def build_cluster(config: ClusterConfig, streams: RngStreams,
                           fanout=config.fanout, segments=config.segments,
                           rtt_cycles=config.rtt_cycles,
                           hedge_after=config.hedge_after)
+
+
+def build_cluster(config: ClusterConfig, streams: RngStreams,
+                  engine: Optional[Engine] = None,
+                  costs: Optional[CostModel] = None) -> ClusterService:
+    """Assemble nodes + balancer + fabric + front-end on one engine."""
+    engine = engine or Engine()
+    costs = costs or CostModel()
+    nodes = [build_node(config, engine, node_id, costs)
+             for node_id in range(config.nodes)]
+    return wire_front_end(config, streams, engine, nodes)
 
 
 def drive_workload(service: ClusterService, config: ClusterConfig,

@@ -41,7 +41,6 @@ from repro.cluster.fabric import Fabric
 from repro.cluster.node import ClusterNode
 from repro.errors import ConfigError
 from repro.sim.engine import Engine
-from repro.sim.trace import Tracer
 
 CLIENT = "client"
 
@@ -95,7 +94,9 @@ class ClusterService:
         self.rtt_cycles = rtt_cycles
         self.hedge_after = hedge_after
         self.recorder = LatencyRecorder("cluster.latency")
-        self.tracer = Tracer(engine)
+        #: the PDES protocol audit (windows, lookahead, slack, waiter
+        #: stats) of a sharded run; empty on one engine
+        self.pdes: Dict[str, Any] = {}
         # cluster-request accounting
         self.issued = 0
         self.completed = 0
@@ -141,7 +142,6 @@ class ClusterService:
                                       self.fanout)
         self.issued += 1
         self.in_flight += 1
-        self.tracer.count("cluster issued")
         for shard_index, cycles in enumerate(shard_service_cycles):
             shard = _ShardState()
             state.shards.append(shard)
@@ -164,19 +164,12 @@ class ClusterService:
         # the sharded runtime relies on this to name attempts
         # identically on both sides of a process boundary
         self._next_shard_req += 1
+        attempt_id = self._next_shard_req
         if self._spans is not None:
             self._spans.attempt_launch(
-                state.request_id, shard_index, self._next_shard_req,
+                state.request_id, shard_index, attempt_id,
                 node.name, self.engine.now,
                 hedged=len(shard.tried) > 1)
-        self._send_request(state, shard_index, cycles, node,
-                           self._next_shard_req)
-
-    def _send_request(self, state: _RequestState, shard_index: int,
-                      cycles: float, node: ClusterNode,
-                      attempt_id: int) -> None:
-        """Carry one shard attempt to its node (the transport seam the
-        parallel-in-time runtime overrides)."""
         delivered = self.fabric.send(CLIENT, node.name, self._arrive,
                                      state, shard_index, cycles, node,
                                      attempt_id)
@@ -234,7 +227,6 @@ class ClusterService:
             self.in_flight -= 1
             latency = self.engine.now - state.arrived
             self.recorder.record(latency)
-            self.tracer.count("cluster completed")
             if self._obs_latency is not None:
                 self._obs_latency.record(latency)
             if self._spans is not None:
@@ -256,7 +248,6 @@ class ClusterService:
             state.settled = True
             self.dropped += 1
             self.in_flight -= 1
-            self.tracer.count("cluster dropped")
             if self._spans is not None:
                 self._spans.request_settled(state.request_id,
                                             self.engine.now, "dropped")
@@ -268,7 +259,6 @@ class ClusterService:
         if state.settled or shard.done:
             return
         self.hedges_sent += 1
-        self.tracer.count("cluster hedges")
         self._launch(state, shard_index, cycles)
 
     # ------------------------------------------------------------------
@@ -318,15 +308,6 @@ class ClusterService:
         }
 
     # ------------------------------------------------------------------
-    def merged_tracer(self) -> Tracer:
-        """One tracer folding the service's and every node's counters
-        (the cross-node ``Tracer.merge`` view)."""
-        merged = Tracer(enabled=True)
-        merged.merge(self.tracer)
-        for node in self.nodes:
-            merged.merge(node.tracer)
-        return merged
-
     def _fill_metrics(self, registry, prefix: str) -> None:
         registry.inc(f"{prefix}.issued", self.issued)
         registry.inc(f"{prefix}.completed", self.completed)

@@ -29,9 +29,9 @@ This module provides the transport-agnostic pieces:
   into a timeline under remapped track ids.
 
 Every digest quantity is a pure function of the (byte-identical)
-simulation history -- cores, memory, caches, tracer shims, timelines,
-and the profiler buckets -- so a sharded snapshot round-trips exactly,
-for the behavioral and the ISA backend alike.  Two host-engine
+simulation history -- cores, memory, caches, timelines, and the
+profiler buckets -- so a sharded snapshot round-trips exactly, for
+the behavioral and the ISA backend alike.  Two host-engine
 artifacts used to leak through and were closed at the source:
 ``engine.*`` counters are harvested only from machines that *own*
 their engine (a shard host's event count is not a simulation fact),

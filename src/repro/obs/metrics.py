@@ -1,8 +1,6 @@
 """Typed metrics: counters, gauges, and log-linear histograms.
 
-The registry replaces the flat string counters of
-:class:`~repro.sim.trace.Tracer` for everything observability-related.
-Metrics are keyed by hierarchical dotted names (``core0.issue.rounds``,
+The registry holds every observability metric. Metrics are keyed by hierarchical dotted names (``core0.issue.rounds``,
 ``kernel.sched.ps.latency_cycles``) so snapshots group naturally and
 exporters can route by prefix; :data:`repro.obs.snapshot.NAMESPACE`
 documents the reserved prefixes.

@@ -180,3 +180,18 @@ class TestMisc:
             capture_output=True, text=True, timeout=120)
         assert result.returncode == 0
         assert "E01" in result.stdout
+
+    def test_cluster_verbs_share_options_but_not_defaults(self):
+        """``cluster`` and ``trace`` declare their common options once;
+        trace's own design default must not leak into cluster."""
+        from repro.cli import _build_parser
+        parser = _build_parser()
+        cluster = parser.parse_args(["cluster"])
+        trace = parser.parse_args(["trace"])
+        assert (cluster.design, trace.design) == ("hw-threads",
+                                                  "sw-threads")
+        shared = ("nodes", "backend", "policy", "fanout", "load",
+                  "requests", "queue_limit", "hedge_after", "shards",
+                  "shard_transport", "seed")
+        assert ([getattr(cluster, name) for name in shared]
+                == [getattr(trace, name) for name in shared])

@@ -236,14 +236,6 @@ class TestClusterService:
         assert hedged["hedges"] > 0
         assert hedged["conserved"]
 
-    def test_merged_tracer_folds_all_nodes(self):
-        config = ClusterConfig(nodes=3, fanout=2, requests=20)
-        result = run_cluster(config, seed=2)
-        counters = result.service.merged_tracer().counters
-        admitted = sum(n.admitted for n in result.service.nodes)
-        assert counters["cluster node admitted"] == admitted
-        assert counters["cluster issued"] == 20
-
 
 # ----------------------------------------------------------------------
 class TestClusterConfig:

@@ -2,9 +2,10 @@
 
 The contract under test is strong: a sharded run must be *byte
 identical* to the single-engine run -- same summary, same latency
-quantiles, same obs snapshot -- because every shard replays exactly
-the RNG draws its own nodes and links would have made on the shared
-engine. The conservative protocol (lookahead = min client->node link
+quantiles, same obs snapshot -- because the client runs the stock
+front-end and fabric and so makes exactly the RNG draws the shared
+engine would have made, while the workers only replay their nodes'
+work. The conservative protocol (lookahead = min client->node link
 latency) guarantees no shard ever has to deliver a message into its
 committed past; the causality tests pin that guarantee down.
 """
@@ -93,16 +94,31 @@ class TestLabelsIgnoreShards:
 class TestByteIdentity:
     """The headline acceptance: shards=N reproduces shards=1 exactly."""
 
-    @pytest.mark.parametrize("policy,hedge", [
-        ("round-robin", None),   # deterministic routing
-        ("random", None),        # stochastic routing
-    ])  # hedging cannot shard (TestShardableConfigs)
-    def test_matches_single_engine(self, policy, hedge):
-        config = _config(policy=policy, hedge_after=hedge)
+    @pytest.mark.parametrize("policy,overrides", [
+        # hedging cannot shard (TestShardableConfigs)
+        pytest.param("round-robin", {},   # deterministic routing
+                     id="round-robin-None"),
+        pytest.param("random", {}, id="random-None"),  # stochastic
+        # the two verdicts a worker sends home: lost responses (drawn
+        # on the node->client links) and admission rejections
+        pytest.param("random",
+                     dict(link=LinkSpec(base_cycles=2_000,
+                                        jitter_mean_cycles=250.0,
+                                        drop_prob=0.05)),
+                     id="random-lossy"),
+        pytest.param("round-robin", dict(queue_limit=2, load=0.9),
+                     id="round-robin-admission-limited"),
+    ])
+    def test_matches_single_engine(self, policy, overrides):
+        config = _config(policy=policy, **overrides)
         single = run_cluster(config, seed=11)
         sharded = run_cluster(scaled(config, shards=4), seed=11,
                               transport="inline")
         assert _fingerprint(sharded) == _fingerprint(single)
+        if "link" in overrides:
+            assert single.service.response_wire_drops > 0
+        if "queue_limit" in overrides:
+            assert single.service.rejected > 0
         assert sharded.service.pdes["shards"] == 4
         assert sharded.service.pdes["mode"] == "decoupled"
 
@@ -215,7 +231,7 @@ class TestCausality:
     """The conservative protocol's safety net."""
 
     def _worker(self) -> ShardWorker:
-        return ShardWorker(_config(), seed=1, node_ids=[0, 4])
+        return ShardWorker(_config(), node_ids=[0, 4])
 
     def test_inject_into_committed_past_raises(self):
         worker = self._worker()
@@ -233,9 +249,9 @@ class TestCausality:
         worker = self._worker()
         worker.advance(10_000)
         worker.inject([(9_000, 10_001, 1, 0, 5_000.0)])
-        rejects, resps, drops, _events = worker.advance(200_000)
-        assert rejects == [] and drops == []
-        assert len(resps) == 1
+        rejects, finishes, _events = worker.advance(200_000)
+        assert rejects == []
+        assert len(finishes) == 1
 
     @given(nodes=st.integers(min_value=2, max_value=8),
            shards=st.integers(min_value=2, max_value=4),
@@ -269,6 +285,39 @@ class TestCausality:
                              transport="inline")
         assert result.service.pdes["min_slack"] is not None
         assert result.service.pdes["windows"] >= 1
+
+
+class TestProxyProtocol:
+    """The client-side proxy takes its verdicts from the worker and
+    fails loudly when the two sides disagree."""
+
+    def _proxy(self):
+        from repro.sim.engine import Engine
+        return pdes._ProxyNode(Engine(), 3, SW_THREADS)
+
+    def test_worker_verdicts_drive_offer(self):
+        proxy = self._proxy()
+        done = []
+        proxy.rejected_ids.add(7)
+        assert not proxy.offer(7, [1.0], 0, on_done=lambda: done.append(7))
+        assert proxy.offer(8, [1.0], 0, on_done=lambda: done.append(8))
+        assert (proxy.admitted, proxy.rejected, proxy.in_flight()) \
+            == (1, 1, 1)
+        proxy.remote_finished(8)
+        assert done == [8] and proxy.conserved()
+
+    def test_unknown_finish_is_a_protocol_error(self):
+        proxy = self._proxy()
+        with pytest.raises(SimulationError, match="never launched"):
+            proxy.remote_finished(42)
+
+    def test_mirror_divergence_is_caught(self):
+        proxy = self._proxy()
+        assert proxy.offer(1, [1.0], 0)
+        with pytest.raises(SimulationError, match="mirror diverged"):
+            pdes._fold_final_stats([proxy], [{3: (2, 0, 0, 2, 10)}])
+        pdes._fold_final_stats([proxy], [{3: (1, 0, 0, 1, 10)}])
+        assert proxy.busy_cycles() == 10
 
 
 # ----------------------------------------------------------------------

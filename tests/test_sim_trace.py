@@ -41,12 +41,6 @@ class TestTracer:
         assert len(tracer.events) == 2
         assert tracer.dropped == 3
 
-    def test_counters_always_live(self):
-        tracer = make_tracer(enabled=False)
-        tracer.count("wasted", 10)
-        tracer.count("wasted", 5)
-        assert tracer.counters["wasted"] == 15
-
     def test_filter_by_category(self):
         tracer = make_tracer(enabled=True)
         tracer.emit("a", "1")
@@ -58,11 +52,9 @@ class TestTracer:
         tracer = make_tracer(enabled=True, limit=1)
         tracer.emit("a", "1")
         tracer.emit("a", "2")
-        tracer.count("x")
         tracer.clear()
         assert tracer.events == []
         assert tracer.dropped == 0
-        assert not tracer.counters
 
     def test_dump_truncates(self):
         tracer = make_tracer(enabled=True)
@@ -89,16 +81,6 @@ class TestTracer:
 
 
 class TestMerge:
-    def test_counters_add(self):
-        a = make_tracer()
-        b = make_tracer()
-        a.count("wasted", 10)
-        b.count("wasted", 5)
-        b.count("other", 1)
-        a.merge(b)
-        assert a.counters["wasted"] == 15
-        assert a.counters["other"] == 1
-
     def test_events_append_in_order(self):
         a = make_tracer(enabled=True)
         b = make_tracer(enabled=True)
