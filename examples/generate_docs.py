@@ -477,6 +477,15 @@ def cluster_markdown() -> str:
         "| `round-robin` | cyclic (Erlang-smoothed per-node arrivals) |",
         "| `jsq` | join the shortest queue (full load information) |",
         "| `p2c` | power of two choices: best of two random nodes |",
+        "",
+        "Exact `jsq` (`probe_delay_cycles=0`) keeps a load index: a",
+        "binary heap of `(in_flight, node_id)` entries that each node's",
+        "admission and finish push onto. A pick with nothing excluded",
+        "takes the heap's first current entry in O(log nodes), with the",
+        "same lowest-id tie-break as a scan. Hedged `jsq` picks that",
+        "exclude nodes, and stale-probe `jsq`, still scan every",
+        "candidate; `p2c` probes two nodes, and `random` and",
+        "`round-robin` read no load at all.",
     ]
     assert set(POLICIES) == {"random", "round-robin", "jsq", "p2c"}
     lines += [

@@ -10,7 +10,7 @@ not here.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.arch.registers import (
     GPR_COUNT,
@@ -105,9 +105,6 @@ class ArchState:
         if spec is None:
             raise IsaError(f"unknown register {name!r}")
         return spec.reg_class
-
-    def register_names(self) -> Iterable[str]:
-        return self._specs.keys()
 
     # ------------------------------------------------------------------
     @property

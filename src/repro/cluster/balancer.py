@@ -20,23 +20,48 @@ byte-identical to the pre-staleness behavior.
 
 ``pick(exclude=...)`` supports replica selection for hedged requests:
 a hedge must land on a node the shard has not already tried.
+
+Exact ``jsq`` keeps a load index instead of scanning every node: a
+binary heap of ``(in_flight, node_id, node)`` entries that each indexed
+node's admission and finish push onto (:attr:`ClusterNode.load_index`).
+A pick with nothing excluded pops the stale heads (entries whose load
+is no longer the node's) and returns the first current one -- the same
+``(load, node_id)`` minimum the scan finds, in O(log nodes) amortised.
+Hedged picks that exclude nodes, and stale-probe ``jsq``, still scan.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from operator import attrgetter, methodcaller
-from typing import Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
-from repro.cluster.node import ClusterNode
 from repro.sim.engine import Engine
 
 from random import Random
+
+if TYPE_CHECKING:                       # node.py imports push_load
+    from repro.cluster.node import ClusterNode
 
 #: The policy names, in the order tables report them.
 POLICIES = ("random", "round-robin", "jsq", "p2c")
 
 _in_flight = methodcaller("in_flight")
+
+#: The load index is rebuilt from current loads once it holds more than
+#: this many entries per node, so stale entries never pile up.
+_INDEX_SLACK = 4
+
+
+def push_load(node: ClusterNode) -> None:
+    """Push ``node``'s current load onto the jsq load index it feeds.
+
+    Every change of a node's ``_in_flight`` calls this while its
+    ``load_index`` is not None. The entry layout is known only here and
+    in :meth:`LoadBalancer._rebuild_index`.
+    """
+    heappush(node.load_index, (node._in_flight, node.node_id, node))
 
 
 class LoadBalancer:
@@ -74,6 +99,27 @@ class LoadBalancer:
         self._rr_next = 0
         self._probe_cache: Dict[int, int] = {}
         self._probe_time: Optional[int] = None
+        self._index: Optional[List[Tuple[int, int, ClusterNode]]] = None
+        if policy == "jsq" and probe_delay_cycles == 0:
+            self._index_loads()
+
+    def _index_loads(self) -> None:
+        """Attach the jsq load index to every node (see module doc)."""
+        for node in self.nodes:
+            if getattr(node, "load_index", None) is not None:
+                raise ConfigError(
+                    f"{node.name} already feeds another jsq balancer")
+        self._index = []
+        self._index_limit = _INDEX_SLACK * len(self.nodes)
+        for node in self.nodes:
+            node.load_index = self._index
+        self._rebuild_index()
+
+    def _rebuild_index(self) -> None:
+        # in place: the nodes hold this very list
+        index = self._index
+        index[:] = [(n._in_flight, n.node_id, n) for n in self._by_id]
+        heapify(index)
 
     # ------------------------------------------------------------------
     def _load(self, node: ClusterNode) -> int:
@@ -98,6 +144,16 @@ class LoadBalancer:
         smaller than the retry budget) the full set is used again.
         """
         self.picks += 1
+        index = self._index
+        if index is not None:
+            if len(index) > self._index_limit:
+                self._rebuild_index()
+            if not exclude:
+                while True:
+                    load, _, node = index[0]
+                    if load == node._in_flight:
+                        return node
+                    heappop(index)
         policy = self.policy
         candidates = self._by_id if policy == "jsq" else self.nodes
         if exclude:
@@ -108,6 +164,7 @@ class LoadBalancer:
         if policy == "round-robin":
             return self._pick_rr(candidates)
         if policy == "jsq":
+            # stale probes, or an exact pick that excludes nodes
             return min(candidates, key=_in_flight
                        if self.probe_delay_cycles == 0 else self._load)
         # p2c: two distinct probes when possible, less loaded wins,

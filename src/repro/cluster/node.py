@@ -19,10 +19,11 @@ adds what the cluster layer needs on top:
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.arch.costs import CostModel
 from repro.backends import create_backend
+from repro.cluster.balancer import push_load
 from repro.distributed.rpc import ServerDesign
 from repro.errors import ConfigError
 from repro.obs.timeline import ThreadState
@@ -57,6 +58,9 @@ class ClusterNode:
         self.completed = 0
         self.rejected = 0
         self._in_flight = 0
+        #: the exact-jsq balancer's load heap, or None: every change of
+        #: ``_in_flight`` pushes the new load onto it (``push_load``)
+        self.load_index: Optional[List[Tuple[int, int, ClusterNode]]] = None
         # observability: a per-node metric namespace and a busy/idle
         # timeline track, only when a session is active. A PDES shard
         # worker passes register_obs=False: its nodes are mirrored by
@@ -106,6 +110,8 @@ class ClusterNode:
             return False
         self.admitted += 1
         self._in_flight += 1
+        if self.load_index is not None:
+            push_load(self)
         if self._spans is not None:
             self._spans.node_admit(request_id, self.engine.now)
         if self._obs_timeline is not None and self._in_flight == 1:
@@ -120,6 +126,8 @@ class ClusterNode:
     def _finished(self, request_id: int,
                   on_done: Optional[Callable[[], None]]) -> None:
         self._in_flight -= 1
+        if self.load_index is not None:
+            push_load(self)
         self.completed += 1
         if self._spans is not None:
             self._spans.node_done(request_id, self.engine.now)

@@ -42,9 +42,6 @@ class MsixTranslator:
     def unmap_vector(self, vector: int) -> None:
         self._table.pop(vector, None)
 
-    def target_of(self, vector: int) -> Optional[int]:
-        return self._table.get(vector)
-
     # ------------------------------------------------------------------
     def raise_irq(self, vector: int) -> bool:
         """A device raised ``vector``. Returns True if translated.

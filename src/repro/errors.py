@@ -15,11 +15,6 @@ class SimulationError(ReproError):
     the past, or running a finished process)."""
 
 
-class DeadlockError(SimulationError):
-    """``run()`` was asked to advance but every process is blocked and no
-    events are pending."""
-
-
 class MemoryError_(ReproError):
     """Out-of-range or misaligned access to simulated memory.
 

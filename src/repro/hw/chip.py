@@ -102,10 +102,5 @@ class Chip:
     def total_instructions(self) -> int:
         return sum(core.instructions_retired for core in self.cores)
 
-    def total_register_file_bytes(self) -> int:
-        """The Section 4 arithmetic: per-core RF budget times cores."""
-        return sum(core.storage.rf_capacity * core.storage.context_bytes
-                   for core in self.cores)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Chip cores={len(self.cores)}>"

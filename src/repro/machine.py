@@ -222,10 +222,6 @@ class Machine:
         time = self.engine.run(until=until, max_events=max_events)
         return time
 
-    def run_seconds(self, seconds: float) -> int:
-        return self.run(until=self.engine.now
-                        + int(seconds * self.clock.cycles_per_second()))
-
     def check(self) -> None:
         """Raise TripleFault if any core halted on an unhandled exception."""
         self.chip.check()

@@ -52,9 +52,6 @@ class MmioRegion:
         """Device-side update of a readable register (no doorbell)."""
         self._regs[offset_words] = value
 
-    def get_reg(self, offset_words: int) -> int:
-        return self._regs.get(offset_words, 0)
-
     def reg_addr(self, offset_words: int) -> int:
         """Byte address of a register, for guests to load/store."""
         return self.region.word(offset_words)

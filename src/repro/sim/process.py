@@ -82,10 +82,6 @@ class Signal:
             callback(value)
         return len(waiters)
 
-    @property
-    def waiter_count(self) -> int:
-        return len(self._waiters)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Signal {self.name or id(self):#x} waiters={len(self._waiters)}>"
 

@@ -58,22 +58,6 @@ class Tracer:
         now = self.engine.now if self.engine is not None else 0
         self.events.append(TraceEvent(now, category, message, payload))
 
-    def merge(self, other: "Tracer") -> None:
-        """Fold another tracer in (a parallel worker's, typically).
-
-        Events append up to this tracer's ``limit``, with overflow --
-        and the other tracer's own overflow -- counted into ``dropped``
-        so nothing vanishes silently across workers.
-        """
-        self.dropped += other.dropped
-        space = self.limit - len(self.events)
-        if space >= len(other.events):
-            self.events.extend(other.events)
-        else:
-            kept = max(space, 0)
-            self.events.extend(other.events[:kept])
-            self.dropped += len(other.events) - kept
-
     # ------------------------------------------------------------------
     def filter(self, category: str) -> List[TraceEvent]:
         return [e for e in self.events if e.category == category]

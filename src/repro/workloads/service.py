@@ -36,10 +36,6 @@ class ServiceDistribution(abc.ABC):
         mu = self.mean()
         return self.variance() / (mu * mu)
 
-    def cv(self) -> float:
-        """Coefficient of variation."""
-        return math.sqrt(self.scv())
-
 
 class Constant(ServiceDistribution):
     """Deterministic service time (SCV = 0)."""

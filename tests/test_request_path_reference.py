@@ -4,34 +4,54 @@ straightforward form.
 ``LoadBalancer.pick``, ``ProcessorSharingServer.offer``/``_complete``
 and the RPC segment walk carry hand-inlined fast paths. The reference
 classes below are the plain versions they were derived from: one
-candidate list per pick, a separate progress-advance and re-arm step
-in the PS server, and a fresh ``Request`` per RPC segment. Hypothesis
-drives both sides with the same inputs and requires identical picks,
-rng states, finish times, busy cycles and engine event counts.
+candidate list per pick (and a scan where exact ``jsq`` keeps a load
+index), a separate progress-advance and re-arm step in the PS server,
+and a fresh ``Request`` per RPC segment. Hypothesis drives both sides
+with the same inputs and requires identical picks, rng states, finish
+times, busy cycles and engine event counts; whole jsq cluster runs at
+the sizes perfbench and the CLI use must match the scanning balancer
+byte for byte.
 """
 
 import gc
 import heapq
 import random
+import struct
 import weakref
 from operator import itemgetter
 from typing import List, Optional, Tuple
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.cluster.run as cluster_run
 import repro.distributed.rpc as rpc
 from repro.arch.costs import CostModel
-from repro.cluster.balancer import POLICIES, LoadBalancer
+from repro.cluster import (
+    ClusterConfig,
+    LinkSpec,
+    build_cluster,
+    drive_workload,
+    summarize_run,
+)
+from repro.cluster.balancer import (
+    _INDEX_SLACK,
+    POLICIES,
+    LoadBalancer,
+    push_load,
+)
 from repro.distributed.rpc import (
     EVENT_LOOP,
     HW_THREADS,
     SW_THREADS,
     RpcServerModel,
 )
+from repro.errors import ConfigError
 from repro.kernel.sched import ProcessorSharingServer, feed_trace
 from repro.sim.engine import Engine
+from repro.sim.rng import RngStreams
 from repro.workloads.requests import Request
 
 
@@ -39,7 +59,11 @@ from repro.workloads.requests import Request
 # balancer
 # ----------------------------------------------------------------------
 class _ReferenceBalancer(LoadBalancer):
-    """``pick`` as a filtered candidate list and one key per policy."""
+    """``pick`` as a filtered candidate list and one key per policy;
+    exact ``jsq`` scans every node instead of keeping a load index."""
+
+    def _index_loads(self):
+        pass
 
     def pick(self, exclude=()):
         candidates = [n for n in self.nodes if n not in exclude]
@@ -71,16 +95,26 @@ class _ReferenceBalancer(LoadBalancer):
 
 
 class _Node:
-    """A node reduced to what the balancer reads."""
+    """A node reduced to what the balancer reads, moving its load the
+    way ``ClusterNode`` does: one admission or finish at a time, each
+    pushing the new load onto the jsq load index."""
 
     def __init__(self, node_id: int):
         self.node_id = node_id
-        self.load = 0
+        self.name = f"node{node_id}"
+        self._in_flight = 0
+        self.load_index = None
         self.reads = 0
 
     def in_flight(self) -> int:
         self.reads += 1
-        return self.load
+        return self._in_flight
+
+    def set_load(self, load: int) -> None:
+        while self._in_flight != load:
+            self._in_flight += 1 if load > self._in_flight else -1
+            if self.load_index is not None:
+                push_load(self)
 
 
 class _Clock:
@@ -91,8 +125,8 @@ class _Clock:
 
 @given(data=st.data(),
        policy=st.sampled_from(POLICIES),
-       ids=st.lists(st.integers(min_value=0, max_value=99),
-                    min_size=1, max_size=8, unique=True),
+       ids=st.lists(st.integers(min_value=0, max_value=199),
+                    min_size=1, max_size=64, unique=True),
        probe_delay=st.sampled_from([0, 3]),
        seed=st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=250, deadline=None)
@@ -104,13 +138,15 @@ def test_pick_matches_reference(data, policy, ids, probe_delay, seed):
                         probe_delay_cycles=probe_delay, engine=clock)
     ref = _ReferenceBalancer(nodes, policy, rng=random.Random(seed),
                              probe_delay_cycles=probe_delay, engine=clock)
+    indexed = policy == "jsq" and probe_delay == 0
+    assert (fast._index is not None) == indexed
     excludes = st.one_of(
         st.just(()),
         st.lists(st.sampled_from(nodes), max_size=len(nodes)).map(tuple),
         st.permutations(nodes).map(tuple))          # all excluded
     for _ in range(data.draw(st.integers(min_value=1, max_value=10))):
         for node in nodes:
-            node.load = data.draw(st.integers(min_value=0, max_value=3))
+            node.set_load(data.draw(st.integers(min_value=0, max_value=3)))
         clock.now += data.draw(st.integers(min_value=0, max_value=4))
         exclude = data.draw(excludes)
         reads = [node.reads for node in nodes]
@@ -121,9 +157,60 @@ def test_pick_matches_reference(data, policy, ids, probe_delay, seed):
                      for node, r, f in zip(nodes, reads, fast_reads)]
         assert got is want
         assert fast.rng.getstate() == ref.rng.getstate()
-        assert fast_reads == ref_reads
+        if indexed and not exclude:
+            # the index answers without reading any node's load
+            assert fast_reads == [0] * len(nodes)
+            assert len(fast._index) <= _INDEX_SLACK * len(nodes)
+        else:
+            assert fast_reads == ref_reads
         assert (fast.picks, fast.probes, fast._rr_next) \
             == (ref.picks, ref.probes, ref._rr_next)
+
+
+def test_node_feeds_one_load_index():
+    nodes = [_Node(0), _Node(1)]
+    LoadBalancer(nodes, "jsq")
+    with pytest.raises(ConfigError, match="node1 already feeds"):
+        LoadBalancer(nodes[1:], "jsq")
+
+
+# E14's tail-at-scale constants (perfbench's lb_hedged shape)
+_E14 = dict(load=0.06, mean_service_cycles=5_000, segments=4,
+            rtt_cycles=20_000, threads_per_peer=4)
+
+
+@pytest.mark.parametrize("config", [
+    ClusterConfig(nodes=64, policy="jsq", fanout=8, requests=1000,
+                  link=LinkSpec(drop_prob=0.01), hedge_after=160_000,
+                  **_E14),
+    ClusterConfig(nodes=64, policy="jsq", fanout=8, requests=1000,
+                  queue_limit=8, **_E14),
+    ClusterConfig(nodes=256, policy="jsq", fanout=8, requests=1500),
+    ClusterConfig(nodes=32, policy="jsq", fanout=4, requests=400,
+                  racks=4, placement="same-rack"),
+], ids=["lb-hedged", "queue-limit", "256-nodes", "same-rack"])
+def test_indexed_jsq_run_matches_scanning_reference(config):
+    outcomes = []
+    for balancer_cls in (LoadBalancer, _ReferenceBalancer):
+        streams = RngStreams(0xC0FFEE)
+        with mock.patch.object(cluster_run, "LoadBalancer", balancer_cls):
+            service = build_cluster(config, streams)
+        assert type(service.balancer) is balancer_cls
+        assert (service.balancer._index is not None) \
+            == (balancer_cls is LoadBalancer)
+        drive_workload(service, config, streams)
+        service.engine.run(until=config.horizon())
+        samples = service.recorder.samples
+        outcomes.append((summarize_run(service),
+                         struct.pack(f"<{len(samples)}d", *samples),
+                         service.engine.events_processed))
+    assert outcomes[0] == outcomes[1]
+    summary = outcomes[0][0]
+    assert summary["conserved"] and summary["completed"] > 0
+    if config.hedge_after is not None:
+        assert summary["hedges"] > 0 and summary["wire_drops"] > 0
+    if config.queue_limit is not None:
+        assert summary["rejected"] > 0
 
 
 # ----------------------------------------------------------------------
